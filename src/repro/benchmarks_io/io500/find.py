@@ -52,9 +52,9 @@ def run_find(
     fs = ctx.fs
     tags = {"benchmark": "find", "run": run_id}
     pctx = ctx.phase_ctx("read", tags=tags)
-    files = fs.namespace.walk_files(workdir)
-    total = len(files)
-    matched = sum(1 for _, e in files if e.size == match_size)
+    sizes = [e.size for e in fs.namespace.iter_files(workdir)]
+    total = len(sizes)
+    matched = sizes.count(match_size)
     if total == 0:
         raise BenchmarkError(f"find: no files under {workdir!r}; run the write phases first")
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.iostack.stack import IOJobContext
-from repro.util.errors import BenchmarkError, ConfigurationError
+from repro.util.errors import (
+    BenchmarkError,
+    ConfigurationError,
+    FileExistsInPFSError,
+    FileNotFoundInPFSError,
+)
 
 __all__ = [
     "MdtestConfig",
@@ -64,9 +69,13 @@ class MdtestConfig:
             return f"{self.base_dir}/task{rank}"
         return f"{self.base_dir}/shared"
 
+    def item_name(self, rank: int, index: int) -> str:
+        """Name of one item file inside its task directory."""
+        return f"file.mdtest.{rank}.{index}"
+
     def item_path(self, rank: int, index: int) -> str:
         """Path of one item file."""
-        return f"{self.task_dir(rank)}/file.mdtest.{rank}.{index}"
+        return f"{self.task_dir(rank)}/{self.item_name(rank, index)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,28 +138,35 @@ def run_mdtest_phase(
     for rank in comm.ranks():
         md_times = fs.model.metadata_times_s(md_op, pctx, n, rank=rank, shared_dir=shared_dir)
         dt = float(md_times.sum())
-        # Namespace bookkeeping + data payloads.
+        # Namespace bookkeeping + data payloads, by name under the task
+        # directory resolved once per rank.  Items must be absent before
+        # create and present for every other phase; a phase that fails
+        # this check changes nothing.
+        dir_path = config.task_dir(rank)
+        directory = fs.namespace.lookup_dir(dir_path)
+        names = [config.item_name(rank, i) for i in range(n)]
+        for i, name in enumerate(names):
+            if (name in directory.children) == (phase == "create"):
+                error = FileExistsInPFSError if phase == "create" else FileNotFoundInPFSError
+                raise error(config.item_path(rank, i))
         if phase == "create":
             layout = fs.default_layout()
-            for i in range(n):
-                fs.create(config.item_path(rank, i), None, layout=layout, shared_dir=shared_dir)
+            entries = [
+                fs.create_in(directory, name, None, layout=layout, shared_dir=shared_dir)[0]
+                for name in names
+            ]
             if config.write_bytes:
-                entry = fs.namespace.lookup_file(config.item_path(rank, 0))
-                io = fs.model.transfer_times_s(
-                    config.write_bytes, entry.layout, pctx, n, rank=rank
-                )
+                io = fs.model.transfer_times_s(config.write_bytes, layout, pctx, n, rank=rank)
                 dt += float(io.sum())
-                for i in range(n):
-                    fs.namespace.lookup_file(config.item_path(rank, i)).extend_to(
-                        config.write_bytes
-                    )
-        elif phase == "read" and config.read_bytes:
-            entry = fs.namespace.lookup_file(config.item_path(rank, 0))
-            io = fs.model.transfer_times_s(config.read_bytes, entry.layout, pctx, n, rank=rank)
-            dt += float(io.sum())
+                for entry in entries:
+                    entry.extend_to(config.write_bytes)
         elif phase == "remove":
-            for i in range(n):
-                fs.namespace.remove_file(config.item_path(rank, i))
+            for name in names:
+                fs.namespace.remove_child(directory, name)
+        elif phase == "read" and config.read_bytes:
+            layout = directory.children[names[0]].layout
+            io = fs.model.transfer_times_s(config.read_bytes, layout, pctx, n, rank=rank)
+            dt += float(io.sum())
         # Report the batch to the job's tracer under a module of its
         # own: counter tracers (metrics bridge, online monitor) pick it
         # up while the Darshan substrate ignores non-stack modules.
@@ -158,7 +174,7 @@ def run_mdtest_phase(
             config.read_bytes if phase == "read" else 0
         )
         ctx.tracer.record_batch(
-            "MDTEST", phase, rank, config.task_dir(rank), 0, payload,
+            "MDTEST", phase, rank, dir_path, 0, payload,
             md_times * phase_factor, t0,
         )
         comm.advance(rank, dt * phase_factor)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster.interconnect import Interconnect
 from repro.pfs.faults import FaultInjector
-from repro.pfs.file import DirEntry, FileEntry, Namespace, normalize_path, split_path
+from repro.pfs.file import DirEntry, FileEntry, Namespace, normalize_path
 from repro.pfs.layout import StripeLayout, StripePattern
 from repro.pfs.metadata import MetadataServer, MetadataSpec
 from repro.pfs.perfmodel import PerfModel, PerfModelParams, PhaseContext
@@ -117,11 +117,7 @@ class BeeGFS:
 
     def mkdir(self, path: str, ctx: PhaseContext | None = None) -> tuple[DirEntry, float]:
         """Create one directory; parent must exist."""
-        entry = DirEntry(
-            name=split_path(path)[1],
-            entry_id=self.mds.next_entry_id(),
-            metadata_node=self.mds.name,
-        )
+        entry = DirEntry(name="", entry_id=self.mds.next_entry_id(), metadata_node=self.mds.name)
         self.namespace.add(path, entry)
         cost = self.model.metadata_time_s("mkdir", ctx) if ctx else 0.0
         return entry, cost
@@ -140,23 +136,40 @@ class BeeGFS:
                 cost += c
         return cost
 
+    def _new_file(self, layout: StripeLayout | None) -> FileEntry:
+        """A file entry with the next entry id, named when linked."""
+        return FileEntry(
+            name="",
+            entry_id=self.mds.next_entry_id(),
+            metadata_node=self.mds.name,
+            layout=layout or self.default_layout(),
+            pool_name=self.pool.name,
+        )
+
     def create(
         self,
         path: str,
         ctx: PhaseContext | None = None,
         layout: StripeLayout | None = None,
         shared_dir: bool = False,
-        exist_ok: bool = False,
     ) -> tuple[FileEntry, float]:
         """Create a regular file and return ``(entry, time cost)``."""
-        entry = FileEntry(
-            name=split_path(path)[1],
-            entry_id=self.mds.next_entry_id(),
-            metadata_node=self.mds.name,
-            layout=layout or self.default_layout(),
-            pool_name=self.pool.name,
-        )
-        self.namespace.add(path, entry, exist_ok=exist_ok)
+        entry = self._new_file(layout)
+        self.namespace.add(path, entry)
+        cost = self.model.metadata_time_s("create", ctx, shared_dir) if ctx else 0.0
+        return entry, cost
+
+    def create_in(
+        self,
+        directory: DirEntry,
+        name: str,
+        ctx: PhaseContext | None = None,
+        layout: StripeLayout | None = None,
+        shared_dir: bool = False,
+    ) -> tuple[FileEntry, float]:
+        """Create the regular file ``name`` in a resolved ``directory``."""
+        entry = self._new_file(layout)
+        self.namespace.add_child(directory, name, entry)
         cost = self.model.metadata_time_s("create", ctx, shared_dir) if ctx else 0.0
         return entry, cost
 
@@ -285,13 +298,12 @@ class BeeGFS:
         """Capacity summary (``beegfs-df``-style)."""
         ntargets = len(self.pool.targets)
         total = ntargets * self.spec.target_capacity_bytes
-        used = sum(e.size for _, e in self.namespace.walk_files("/"))
         return {
             "filesystem": self.spec.name,
             "mount_point": self.spec.mount_point,
             "num_targets": ntargets,
             "capacity_bytes": total,
-            "used_bytes": used,
+            "used_bytes": sum(e.size for e in self.namespace.iter_files()),
             "raid_scheme": self.pool.raid_scheme,
             "storage_pool": self.pool.name,
         }

@@ -9,6 +9,7 @@ metadata server, stripe layout and storage pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.pfs.layout import StripeLayout
 from repro.util.errors import (
@@ -26,6 +27,10 @@ def normalize_path(path: str) -> str:
     """Normalise to an absolute, ``/``-separated path without dots."""
     if not path or not path.startswith("/"):
         raise ConfigurationError(f"paths must be absolute, got {path!r}")
+    # Already canonical: the fold below only rewrites empty, ``.`` and
+    # ``..`` components and a trailing slash, and this path has none.
+    if "//" not in path and "/." not in path and (path == "/" or path[-1] != "/"):
+        return path
     parts: list[str] = []
     for part in path.split("/"):
         if part in ("", "."):
@@ -103,6 +108,12 @@ class Namespace:
                 raise FileNotFoundInPFSError(path) from None
         return entry
 
+    def _lookup_parent(self, path: str) -> tuple[DirEntry, str]:
+        """Resolve the parent directory of ``path`` in one walk and
+        return it with the final component's name."""
+        parent_path, name = split_path(path)
+        return self.lookup_dir(parent_path), name
+
     def exists(self, path: str) -> bool:
         """Whether an entry exists at ``path``."""
         try:
@@ -125,31 +136,53 @@ class Namespace:
             raise FileNotFoundInPFSError(f"{path} is a directory, not a file")
         return entry
 
-    def add(self, path: str, entry: FileEntry | DirEntry, exist_ok: bool = False) -> None:
-        """Insert ``entry`` at ``path`` under an existing parent directory."""
-        parent_path, name = split_path(path)
-        parent = self.lookup_dir(parent_path)
-        if name in parent.children and not exist_ok:
-            raise FileExistsInPFSError(path)
+    def add_child(
+        self,
+        parent: DirEntry,
+        name: str,
+        entry: FileEntry | DirEntry,
+        exist_ok: bool = False,
+        *,
+        path: str | None = None,
+    ) -> None:
+        """Insert ``entry`` as ``name`` under the directory ``parent``.
+
+        ``exist_ok`` lets a file replace a file of the same name; a
+        directory is never replaced.  Errors name ``path`` when given,
+        else ``name``.
+        """
+        existing = parent.children.get(name)
+        if existing is not None and (not exist_ok or isinstance(existing, DirEntry)):
+            raise FileExistsInPFSError(path or name)
         entry.name = name
         parent.children[name] = entry
 
-    def remove_file(self, path: str) -> FileEntry:
-        """Unlink a regular file and return its entry."""
-        parent_path, name = split_path(path)
-        parent = self.lookup_dir(parent_path)
+    def add(self, path: str, entry: FileEntry | DirEntry, exist_ok: bool = False) -> None:
+        """Insert ``entry`` at ``path`` under an existing parent directory."""
+        parent, name = self._lookup_parent(path)
+        self.add_child(parent, name, entry, exist_ok, path=path)
+
+    def remove_child(self, parent: DirEntry, name: str, *, path: str | None = None) -> FileEntry:
+        """Unlink the regular file ``name`` from ``parent`` and return it.
+
+        Errors name ``path`` when given, else ``name``.
+        """
         entry = parent.children.get(name)
         if entry is None:
-            raise FileNotFoundInPFSError(path)
+            raise FileNotFoundInPFSError(path or name)
         if not isinstance(entry, FileEntry):
-            raise FileNotFoundInPFSError(f"{path} is a directory; use rmdir")
+            raise FileNotFoundInPFSError(f"{path or name} is a directory; use rmdir")
         del parent.children[name]
         return entry
 
+    def remove_file(self, path: str) -> FileEntry:
+        """Unlink a regular file and return its entry."""
+        parent, name = self._lookup_parent(path)
+        return self.remove_child(parent, name, path=path)
+
     def remove_dir(self, path: str) -> DirEntry:
         """Remove an empty directory and return its entry."""
-        parent_path, name = split_path(path)
-        parent = self.lookup_dir(parent_path)
+        parent, name = self._lookup_parent(path)
         entry = parent.children.get(name)
         if entry is None:
             raise FileNotFoundInPFSError(path)
@@ -179,6 +212,16 @@ class Namespace:
 
         _walk(normalize_path(path), self.lookup_dir(path))
         return result
+
+    def iter_files(self, path: str = "/") -> Iterator[FileEntry]:
+        """Every file under ``path``, in no set order, without building paths."""
+        stack = [self.lookup_dir(path)]
+        while stack:
+            for child in stack.pop().children.values():
+                if isinstance(child, DirEntry):
+                    stack.append(child)
+                else:
+                    yield child
 
     def count_entries(self, path: str = "/") -> tuple[int, int]:
         """Return ``(num_files, num_dirs)`` under ``path`` (excl. itself)."""

@@ -5,7 +5,12 @@ import pytest
 from repro.benchmarks_io.hacc_io import BYTES_PER_PARTICLE, HaccIOConfig, run_hacc_io
 from repro.benchmarks_io.mdtest import HARD_WRITE_BYTES, MdtestConfig, run_mdtest
 from repro.iostack.stack import Testbed
-from repro.util.errors import BenchmarkError, ConfigurationError
+from repro.util.errors import (
+    BenchmarkError,
+    ConfigurationError,
+    FileExistsInPFSError,
+    FileNotFoundInPFSError,
+)
 
 
 @pytest.fixture()
@@ -74,6 +79,33 @@ class TestRunMdtest:
         cfg = MdtestConfig(num_items=5, base_dir="/scratch/md3", phases=("stat",))
         with pytest.raises(BenchmarkError):
             run_mdtest(cfg, jobctx)
+
+    def test_stat_after_remove_finds_no_files(self, jobctx):
+        cfg = MdtestConfig(
+            num_items=5, base_dir="/scratch/md5", phases=("create", "remove", "stat")
+        )
+        with pytest.raises(FileNotFoundInPFSError, match="^/scratch/md5/task0/file.mdtest.0.0$"):
+            run_mdtest(cfg, jobctx)
+
+    def test_create_twice_names_the_item_and_changes_nothing(self, jobctx):
+        cfg = MdtestConfig(num_items=5, base_dir="/scratch/md6", phases=("create",))
+        run_mdtest(cfg, jobctx)
+        entries = jobctx.fs.namespace.walk_files("/scratch/md6")
+        with pytest.raises(FileExistsInPFSError, match="^/scratch/md6/task0/file.mdtest.0.0$"):
+            run_mdtest(cfg, jobctx)
+        assert jobctx.fs.namespace.walk_files("/scratch/md6") == entries
+
+    def test_hard_create_sizes_every_item(self, jobctx):
+        cfg = MdtestConfig(
+            num_items=7,
+            base_dir="/scratch/md7",
+            unique_dir_per_task=False,
+            write_bytes=HARD_WRITE_BYTES,
+            phases=("create",),
+        )
+        run_mdtest(cfg, jobctx)
+        sizes = [e.size for _, e in jobctx.fs.namespace.walk_files("/scratch/md7")]
+        assert sizes == [HARD_WRITE_BYTES] * (7 * 8)
 
     def test_rate_lookup_missing(self, jobctx):
         cfg = MdtestConfig(num_items=5, base_dir="/scratch/md4", phases=("create",))

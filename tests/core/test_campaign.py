@@ -3,6 +3,7 @@ launcher worker pool, and the kill-and-resume exactly-once property."""
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -476,7 +477,7 @@ class TestKillAndResume:
             proxy = chaos_proxy(server.host, server.port, policy,
                                 metrics=metrics, killer=killer)
             url = f"knowledge+tcp://{proxy.host}:{proxy.port}/"
-            store, cid, backend_url = _submit(tmp_path, toml=toml, backend=url)
+            store, cid, _ = _submit(tmp_path, toml=toml, backend=url)
             for attempt in range(6):
                 try:
                     _launcher(store, cid, tmp_path, tag=f"ws{attempt}").run(
@@ -487,8 +488,18 @@ class TestKillAndResume:
                 if store.counts(cid)["DONE"] == 3:
                     break
             assert store.counts(cid)["DONE"] == 3
+            # Verify after the chaos: the killer fires on proxied frames,
+            # so a read through the proxy would keep killing workers
+            # faster than the client's retries outlast a respawn.  Close
+            # the proxy, let the supervisor heal the last kill, and read
+            # the rows from the server directly.
+            proxy.close()
+            deadline = time.monotonic() + 30.0
+            while server.health()["status"] != "healthy":
+                assert time.monotonic() < deadline, server.health()
+                time.sleep(0.05)
             rows = [
-                r for r in _knowledge_rows(backend_url)
+                r for r in _knowledge_rows(f"knowledge+tcp://{server.host}:{server.port}/")
                 if not r.parameters.get("campaign_marker")
             ]
             tokens = [r.parameters["campaign_job"] for r in rows]

@@ -735,8 +735,10 @@ def test_fleet_soak_under_scheduled_sigkills(tmp_path, fault_seed):
         seed=fault_seed, supervise_interval_s=0.05,
         crash_loop_threshold=1000, metrics=metrics,
     )
+    # The killer counts supervision ticks (50 ms each): a kill every 5
+    # ticks lands well before a fast host drains 200 short jobs.
     fleet.killer = WorkerKiller(
-        fleet, every_frames=25, metrics=metrics,
+        fleet, every_frames=5, metrics=metrics,
         metric_name="fleet.chaos.faults_total",
     )
     counts = fleet.run()
