@@ -7,6 +7,6 @@ machine-readable ``BENCH_*.json`` reports so performance regressions
 show up in review instead of production.
 """
 
-from repro.bench.service_bench import BENCH_SCHEMA, run_service_bench
+from repro.bench.service_bench import BENCH_SCHEMA, host_info, run_service_bench
 
-__all__ = ["BENCH_SCHEMA", "run_service_bench"]
+__all__ = ["BENCH_SCHEMA", "host_info", "run_service_bench"]

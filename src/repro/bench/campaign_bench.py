@@ -19,6 +19,7 @@ The report schema is ``repro.bench/v1``::
     {
       "schema": "repro.bench/v1",
       "bench": "campaign",
+      "host": {"cores": ..., "python": ..., "sqlite": ..., "platform": ...},
       "knobs": {"jobs": 60, "duration_ms": 200, ...},
       "drain": {"launchers_1": {"seconds": ..., "jobs_per_s": ...}, ...},
       "speedup": {"x2_vs_x1": ..., "x4_vs_x1": ...},

@@ -12,7 +12,8 @@ Usage::
     repro-bench campaign --jobs 96 --duration-ms 40
 
 Each sub-benchmark writes a ``repro.bench/v1`` JSON report (and prints
-a one-screen summary), comparing the code paths it exercises — the
+a one-screen summary) whose ``host`` block records the cores, Python,
+SQLite and platform it ran on, comparing the code paths it exercises — the
 knowledge service in-process against the ``repro.wire/v1`` TCP link,
 the columnar ``scan()`` pushdown against row-loop and batched Python
 folds, the scenario engine's grammar expansion and period detection,
@@ -29,7 +30,7 @@ import sys
 import tempfile
 from typing import Sequence
 
-from repro.bench.service_bench import run_service_bench
+from repro.bench.service_bench import host_info, run_service_bench
 from repro.util.errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -261,6 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report["host"] = host_info()
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

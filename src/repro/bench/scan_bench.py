@@ -16,6 +16,7 @@ The report schema is ``repro.bench/v1``::
     {
       "schema": "repro.bench/v1",
       "bench": "scan",
+      "host": {"cores": ..., "python": ..., "sqlite": ..., "platform": ...},
       "config": {...},
       "timings": {"row_loop_fold": {...}, "fetch_many_fold": {...},
                   "scan": {...}},

@@ -15,6 +15,7 @@ The report schema is ``repro.bench/v1``::
     {
       "schema": "repro.bench/v1",
       "bench": "scenario",
+      "host": {"cores": ..., "python": ..., "sqlite": ..., "platform": ...},
       "config": {...},
       "timings": {"expand": {...}, "detect": {...}},
       "rates": {"derivations_per_s": ..., "windows_per_s": ...,

@@ -8,6 +8,7 @@ folklore.  The report schema is ``repro.bench/v1``::
     {
       "schema": "repro.bench/v1",
       "bench": "service",
+      "host": {"cores": ..., "python": ..., "sqlite": ..., "platform": ...},
       "config": {...},
       "modes": {
         "in_process": {"save": {"p50_us": ..., "p99_us": ...,
@@ -28,6 +29,9 @@ to restore full-shard service is clocked wall-to-wall.
 
 from __future__ import annotations
 
+import os
+import platform
+import sqlite3
 import time
 from typing import Callable, Sequence
 
@@ -38,9 +42,27 @@ from repro.core.service.server import KnowledgeServer
 from repro.core.service.service import KnowledgeService
 from repro.core.service.shard import KnowledgeShardMap
 
-__all__ = ["BENCH_SCHEMA", "run_service_bench"]
+__all__ = ["BENCH_SCHEMA", "host_info", "run_service_bench"]
 
 BENCH_SCHEMA = "repro.bench/v1"
+
+
+def host_info() -> dict[str, object]:
+    """The ``host`` block every ``repro.bench/v1`` report carries.
+
+    ``cores`` counts the CPUs this process may run on (its affinity
+    mask where the platform has one), which is what bounds a bench.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cores = os.cpu_count() or 1
+    return {
+        "cores": cores,
+        "python": platform.python_version(),
+        "sqlite": sqlite3.sqlite_version,
+        "platform": platform.platform(),
+    }
 
 
 def _make_knowledge(index: int, benchmark: str = "ior") -> Knowledge:

@@ -31,6 +31,7 @@ from repro.core.persistence.scan import (
     escape_like,
     finalize_partials,
     group_key,
+    summary_eligible,
 )
 from repro.util.errors import PersistenceError
 
@@ -703,7 +704,7 @@ class KnowledgeRepository:
         no range/parameter filters, no percentiles, grouping only by
         benchmark/api/operation — never touch the base tables at all.
         """
-        source = "summary-table" if self._agg_eligible(query) else "base-tables"
+        source = "summary-table" if summary_eligible(query) else "base-tables"
         return finalize_partials(query, self.scan_partial(query), source=source)
 
     def scan_partial(self, query: ScanQuery) -> dict[str, object]:
@@ -715,22 +716,9 @@ class KnowledgeRepository:
         shard's partials via
         :func:`~repro.core.persistence.scan.merge_partial_payloads`.
         """
-        if self._agg_eligible(query):
+        if summary_eligible(query):
             return self._scan_partial_from_agg(query)
         return self._scan_partial_from_base(query)
-
-    @staticmethod
-    def _agg_eligible(query: ScanQuery) -> bool:
-        """Whether ``agg_summaries`` alone can answer this query."""
-        return (
-            not query.percentiles
-            and query.parameter is None
-            and query.num_nodes_min is None
-            and query.num_nodes_max is None
-            and query.num_tasks_min is None
-            and query.num_tasks_max is None
-            and set(query.group_by) <= {"benchmark", "api", "operation"}
-        )
 
     def _scan_partial_from_agg(self, query: ScanQuery) -> dict[str, object]:
         """Answer from the pre-aggregated rows (no base-table touch)."""

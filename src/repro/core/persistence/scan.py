@@ -47,6 +47,7 @@ __all__ = [
     "PercentileSketch",
     "AggregateState",
     "ScanQuery",
+    "summary_eligible",
     "ScanRow",
     "ScanResult",
     "merge_partial_payloads",
@@ -419,6 +420,25 @@ class ScanQuery:
         return bool(self.percentiles)
 
 
+def summary_eligible(query: ScanQuery) -> bool:
+    """Whether the pre-aggregated ``agg_summaries`` table alone answers ``query``.
+
+    A pure function of the query: no percentiles, no parameter or
+    node/task range filter, and groups drawn only from
+    benchmark/api/operation.  Every shard decides the same way, so a
+    client can name the evaluation path of a merged service scan.
+    """
+    return (
+        not query.percentiles
+        and query.parameter is None
+        and query.num_nodes_min is None
+        and query.num_nodes_max is None
+        and query.num_tasks_min is None
+        and query.num_tasks_max is None
+        and set(query.group_by) <= {"benchmark", "api", "operation"}
+    )
+
+
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
@@ -435,9 +455,10 @@ class ScanResult:
     """All groups of one scan, in stable group-key order.
 
     ``source`` records which evaluation path answered: ``summary-table``
-    (the pre-aggregated ingest tables), ``base-tables`` (SQL pushdown
-    over summaries/performances), ``service`` (merged shard/worker
-    partials) or ``fold`` (the pure-Python reference).
+    (the pre-aggregated ingest tables) or ``base-tables`` (SQL pushdown
+    over summaries/performances) — for a service scan too, whose merged
+    shard/worker partials all took the path :func:`summary_eligible`
+    picks — or ``fold`` (the pure-Python reference).
     """
 
     query: ScanQuery

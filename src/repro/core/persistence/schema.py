@@ -172,6 +172,14 @@ DDL_STATEMENTS: tuple[str, ...] = (
     "CREATE INDEX IF NOT EXISTS idx_results_summary ON results(summaries_id)",
     "CREATE INDEX IF NOT EXISTS idx_filesystems_perf ON filesystems(performance_id)",
     "CREATE INDEX IF NOT EXISTS idx_testcases_run ON IOFHsTestcases(IOFH_id)",
+    # Every child-table foreign key is indexed, so load/fetch_many and
+    # ON DELETE CASCADE search rather than scan.  Existing stores gain
+    # these on their next open (no schema version bump).
+    "CREATE INDEX IF NOT EXISTS idx_systems_perf ON systems(performance_id)",
+    "CREATE INDEX IF NOT EXISTS idx_systems_run ON systems(IOFH_id)",
+    "CREATE INDEX IF NOT EXISTS idx_scores_run ON IOFHsScores(IOFH_id)",
+    "CREATE INDEX IF NOT EXISTS idx_options_testcase ON IOFHsOptions(testcase_id)",
+    "CREATE INDEX IF NOT EXISTS idx_iofh_results_testcase ON IOFHsResults(testcase_id)",
 )
 
 #: All knowledge tables, in creation order.

@@ -412,12 +412,15 @@ class ServiceClient:
         per shard-group worker on the TCP path, merged by the router
         and finalized here — so a fleet-wide percentile table costs a
         few KiB of state on the wire instead of every knowledge object.
-        Same results as ``KnowledgeRepository.scan`` on the same rows.
+        Same results as ``KnowledgeRepository.scan`` on the same rows,
+        with the same ``source``: every shard took the evaluation path
+        :func:`~repro.core.persistence.scan.summary_eligible` picks.
         """
-        from repro.core.persistence.scan import finalize_partials
+        from repro.core.persistence.scan import finalize_partials, summary_eligible
 
         partials = self._call("scan", query)
-        return finalize_partials(query, partials, source="service")  # type: ignore[arg-type]
+        source = "summary-table" if summary_eligible(query) else "base-tables"
+        return finalize_partials(query, partials, source=source)  # type: ignore[arg-type]
 
     # -- service-level introspection -----------------------------------
     def stats(self) -> dict[str, object]:

@@ -15,7 +15,9 @@ serving layer, embeddable in-process:
   comes from spreading keys across shards and from the result cache.
 * reads go through an :class:`~repro.core.service.cache.EpochLRUCache`;
   every committed write bumps the owning shard's epoch, lazily evicting
-  stale entries on their next lookup.
+  stale entries on their next lookup.  The cache holds the knowledge
+  objects the repository built, uncopied: the dispatcher's wire codec
+  gives every caller its own copy.
 * shard writes run on the shard map's
   :class:`~repro.core.persistence.backend.ResilientBackend`, so a
   wedged shard trips its circuit breaker and quarantines (writes buffer
@@ -38,7 +40,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.knowledge import Knowledge
 from repro.core.persistence.scan import ScanQuery, merge_partial_payloads
-from repro.core.persistence.transfer import knowledge_from_dict, knowledge_to_dict
 from repro.core.service.cache import EpochLRUCache
 from repro.core.service.shard import KnowledgeShard, KnowledgeShardMap, encode_knowledge_id
 from repro.util.errors import (
@@ -75,6 +76,14 @@ class KnowledgeService:
     The service starts its workers on construction and is a context
     manager; ``close()`` drains the queue, stops the workers and closes
     every shard (flushing any degraded-mode write buffers).
+
+    Read results (``load``, ``fetch_many``, ``load_all``) are the very
+    objects held by the read-through cache, shared with every later
+    reader of the same id: treat them as read-only.  A caller that wants
+    its own mutable copy goes through
+    :class:`~repro.core.service.ops.ServiceDispatcher`, whose
+    ``encode_result`` converts each object once for the wire; every
+    :class:`~repro.core.service.client.ServiceClient` does.
     """
 
     def __init__(
@@ -281,32 +290,21 @@ class KnowledgeService:
         self._observe_shard(shard, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
-    # read operations (read-through cache)
+    # read operations (read-through cache of shared, read-only objects)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _freeze(knowledge: Knowledge) -> tuple[dict, int | None]:
-        return knowledge_to_dict(knowledge), knowledge.knowledge_id
-
-    @staticmethod
-    def _thaw(frozen: object) -> Knowledge:
-        data, global_id = frozen  # type: ignore[misc]
-        knowledge = knowledge_from_dict(data)
-        knowledge.knowledge_id = global_id
-        return knowledge
-
     def _op_load(self, global_id: int) -> Knowledge:
         shard, local_id = self.shard_map.shard_of(global_id)
         self._check_owned(shard.index)
         epochs = (self.shard_map.epoch(shard.index),)
-        hit, frozen = self.cache.get(("load", global_id), epochs)
+        hit, cached = self.cache.get(("load", global_id), epochs)
         if hit:
-            return self._thaw(frozen)
+            return cached  # type: ignore[return-value]
         start = time.perf_counter()
         with shard.lock:
             knowledge = shard.repository.load(local_id)
         self._observe_shard(shard, time.perf_counter() - start)
         knowledge.knowledge_id = global_id
-        self.cache.put(("load", global_id), epochs, self._freeze(knowledge))
+        self.cache.put(("load", global_id), epochs, knowledge)
         return knowledge
 
     def _op_list_ids(self, benchmark: str | None = None) -> list[int]:
@@ -339,9 +337,9 @@ class KnowledgeService:
             shard, _ = self.shard_map.shard_of(global_id)
             self._check_owned(shard.index)
             epochs = (self.shard_map.epoch(shard.index),)
-            hit, frozen = self.cache.get(("load", global_id), epochs)
+            hit, cached = self.cache.get(("load", global_id), epochs)
             if hit:
-                out[global_id] = self._thaw(frozen)
+                out[global_id] = cached  # type: ignore[assignment]
             else:
                 misses_by_shard.setdefault(shard.index, []).append(global_id)
         for index, group in sorted(misses_by_shard.items()):
@@ -354,7 +352,7 @@ class KnowledgeService:
             self._observe_shard(shard, time.perf_counter() - start)
             for global_id, knowledge in zip(group, loaded):
                 knowledge.knowledge_id = global_id
-                self.cache.put(("load", global_id), epochs, self._freeze(knowledge))
+                self.cache.put(("load", global_id), epochs, knowledge)
                 out[global_id] = knowledge
         return [out[int(i)] for i in global_ids]
 

@@ -712,6 +712,8 @@ class TestFleetCLI:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["schema"] == "repro.bench/v1"
         assert report["bench"] == "campaign"
+        assert report["host"]["cores"] >= 1
+        assert set(report["host"]) == {"cores", "python", "sqlite", "platform"}
         assert set(report["drain"]) == {"launchers_1", "launchers_2", "launchers_4"}
         assert report["correctness"] == {"tokens_unique": True, "all_done": True}
         assert report["steal"]["p99_us"] >= report["steal"]["p50_us"] > 0
@@ -735,10 +737,14 @@ def test_fleet_soak_under_scheduled_sigkills(tmp_path, fault_seed):
         seed=fault_seed, supervise_interval_s=0.05,
         crash_loop_threshold=1000, metrics=metrics,
     )
-    # The killer counts supervision ticks (50 ms each): a kill every 5
-    # ticks lands well before a fast host drains 200 short jobs.
+    # The killer counts supervision ticks (50 ms each).  A kill every
+    # 10 ticks lands its first kill (0.5 s) before a cold launcher has
+    # finished importing (about 0.8 s on a 2-core host), so kills >= 1,
+    # while round-robin over 4 launchers leaves each about 2 s to live,
+    # longer than 4 cold starts sharing 2 cores (about 1.6 s).  At 5
+    # ticks each launcher lived about 1 s and the drain stalled.
     fleet.killer = WorkerKiller(
-        fleet, every_frames=5, metrics=metrics,
+        fleet, every_frames=10, metrics=metrics,
         metric_name="fleet.chaos.faults_total",
     )
     counts = fleet.run()

@@ -1,5 +1,7 @@
 """Tests for Phase-III persistence: schema, round trips, queries."""
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,3 +270,74 @@ class TestQueries:
         report = KnowledgeQueries(db).database_report()
         assert report["performances"] == 1
         assert report["results"] == 3
+
+
+class TestReadQueryPlans:
+    """Every SELECT on the read path searches an index, never scans.
+
+    Each statement ``load``/``fetch_many`` runs is recorded with its
+    bound parameters and re-planned with ``EXPLAIN QUERY PLAN``; a
+    ``SCAN <table>`` step means a child-table foreign key lacks its
+    index, a cost that grows with the store.
+    """
+
+    @staticmethod
+    def _read_plans(db, read):
+        statements = []
+        execute = db.execute
+
+        def recording(sql, params=()):
+            if sql.lstrip().upper().startswith("SELECT"):
+                statements.append((sql, params))
+            return execute(sql, params)
+
+        db.execute = recording
+        try:
+            read()
+        finally:
+            db.execute = execute
+        assert statements
+        return {
+            " ".join(sql.split()): [
+                row[3] for row in db.conn.execute("EXPLAIN QUERY PLAN " + sql, params)
+            ]
+            for sql, params in statements
+        }
+
+    @staticmethod
+    def _assert_no_scan(plans):
+        for sql, plan in plans.items():
+            assert not [step for step in plan if step.startswith("SCAN ")], (sql, plan)
+
+    def test_knowledge_reads_use_indexes(self, db):
+        repo = KnowledgeRepository(db)
+        ids = [repo.save(make_knowledge(bw_mean=100.0 + i)) for i in range(12)]
+        plans = self._read_plans(db, lambda: (repo.load(ids[3]), repo.fetch_many(ids[2:7])))
+        assert any("FROM systems" in sql for sql in plans)
+        self._assert_no_scan(plans)
+
+    def test_io500_reads_use_indexes(self, db):
+        repo = IO500Repository(db)
+        ids = [repo.save(TestIO500Repository().make_io500()) for _ in range(12)]
+        plans = self._read_plans(db, lambda: (repo.load(ids[3]), repo.fetch_many(ids[2:7])))
+        for table in ("systems", "IOFHsScores", "IOFHsOptions", "IOFHsResults"):
+            assert any(table in sql for sql in plans), table
+        self._assert_no_scan(plans)
+
+    def test_existing_store_gains_indexes_on_open(self, tmp_path):
+        target = tmp_path / "k.db"
+        with KnowledgeDatabase(target) as db:
+            KnowledgeRepository(db).save(make_knowledge())
+        conn = sqlite3.connect(target)
+        conn.execute("DROP INDEX idx_systems_perf")
+        conn.commit()
+        conn.close()
+        with KnowledgeDatabase(target) as db:
+            names = {
+                row[0]
+                for row in db.conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index'"
+                )
+            }
+            assert "idx_systems_perf" in names
+            assert KnowledgeRepository(db).load(1).system["hostname"] == "fuchs0000"

@@ -216,6 +216,17 @@ SCAN_QUERIES = [
               group_by=("benchmark", "operation"), percentiles=(50.0,)),
 ]
 
+#: The evaluation path each of SCAN_QUERIES takes, embedded or served.
+SCAN_SOURCES = [
+    "summary-table",
+    "summary-table",
+    "base-tables",
+    "base-tables",
+    "base-tables",
+    "base-tables",
+    "base-tables",
+]
+
 
 class TestEmbeddedScan:
     @pytest.mark.parametrize("query", SCAN_QUERIES,
@@ -224,6 +235,11 @@ class TestEmbeddedScan:
         assert_results_equal(
             fleet_repo.scan(query), fold_scan(query, fleet_repo.load_all())
         )
+
+    @pytest.mark.parametrize("query,source", list(zip(SCAN_QUERIES, SCAN_SOURCES)),
+                             ids=lambda v: v if isinstance(v, str) else v.metric)
+    def test_source_names_the_evaluation_path(self, fleet_repo, query, source):
+        assert fleet_repo.scan(query).source == source
 
     def test_summary_table_fast_path_is_used_and_correct(self, fleet_repo):
         query = ScanQuery(group_by=("benchmark", "api", "operation"))
@@ -321,9 +337,9 @@ class TestServiceScan:
                 runs, _ = synthesize_fleet(99, runs=40, io500_runs=0)
                 for k in runs:
                     client.save(k)
-                for query in SCAN_QUERIES:
+                for query, source in zip(SCAN_QUERIES, SCAN_SOURCES, strict=True):
                     result = client.scan(query)
-                    assert result.source == "service"
+                    assert result.source == source
                     assert_results_equal(
                         result, fold_scan(query, client.load_all())
                     )
@@ -361,10 +377,11 @@ class TestServiceScan:
                 runs, _ = synthesize_fleet(7, runs=48, io500_runs=0)
                 for k in runs:
                     client.save(k)
-                for query in SCAN_QUERIES:
+                for query, source in zip(SCAN_QUERIES, SCAN_SOURCES, strict=True):
+                    result = client.scan(query)
+                    assert result.source == source
                     assert_results_equal(
-                        client.scan(query),
-                        fold_scan(query, client.load_all()),
+                        result, fold_scan(query, client.load_all())
                     )
         finally:
             server.close()
