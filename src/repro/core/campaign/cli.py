@@ -112,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 60)",
     )
     parser.add_argument(
-        "--chaos-kill-every", type=int, default=None, metavar="TICKS",
-        help="with --fleet: SIGKILL a launcher every TICKS supervision "
-             "passes (deterministic soak fault injection)",
+        "--chaos-kill-every", type=int, default=None, metavar="JOBS",
+        help="with --fleet: SIGKILL a launcher each time JOBS more jobs "
+             "reach DONE (soak fault injection keyed to progress, not time)",
     )
     parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",

@@ -116,10 +116,10 @@ class LauncherFleet:
         self.supervise_interval_s = supervise_interval_s
         self.watch = watch
         self.watch_interval_s = watch_interval_s
-        #: Duck-typed chaos hook: ``on_frame(total_ticks)`` may SIGKILL
-        #: a live launcher (see :class:`WorkerKiller`); ticks are the
-        #: fleet's supervision passes, so the kill schedule is a
-        #: deterministic function of fleet uptime, not job timing.
+        #: Duck-typed chaos hook: ``on_frame(done_jobs)`` may SIGKILL a
+        #: live launcher (see :class:`WorkerKiller`).  It is fed the
+        #: campaign's DONE count, so a kill comes only after progress
+        #: and the schedule does not depend on how fast launchers start.
         self.killer = killer
         self._clock = clock
         #: Chaos-killer/WorkerKiller-compatible slot list.
@@ -286,14 +286,12 @@ class LauncherFleet:
         for slot in self.workers:
             self._spawn(slot)
         self._gauge_alive()
-        ticks = 0
         last_watch = 0.0
         try:
             while True:
                 self.tick()
-                ticks += 1
                 if self.killer is not None:
-                    self.killer.on_frame(ticks)
+                    self.killer.on_frame(self.store.counts(self.campaign_id)["DONE"])
                 if self.watch is not None:
                     now = time.monotonic()
                     if now - last_watch >= self.watch_interval_s:

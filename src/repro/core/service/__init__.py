@@ -43,6 +43,7 @@ from repro.core.service.shard import (
     KnowledgeShardMap,
     decode_knowledge_id,
     encode_knowledge_id,
+    group_by_owner,
     shard_index_for_key,
     shard_key,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "WorkerSupervisor",
     "decode_knowledge_id",
     "encode_knowledge_id",
+    "group_by_owner",
     "is_service_url",
     "is_tcp_url",
     "open_service",

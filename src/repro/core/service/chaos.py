@@ -159,8 +159,10 @@ class WorkerKiller:
     ``server`` is duck-typed: anything exposing a ``workers`` list of
     slots with ``.process``/``.alive`` works — the knowledge server's
     shard-group workers and the campaign fleet's launcher slots both
-    do, so one killer drives both SIGKILL matrices.  ``metric_name``
-    routes the fault count to the owning subsystem's metric family.
+    do, so one killer drives both SIGKILL matrices (the fleet feeds it
+    its campaign's DONE-job count instead of a frame count).
+    ``metric_name`` routes the fault count to the owning subsystem's
+    metric family.
     """
 
     def __init__(

@@ -22,7 +22,7 @@ kept honest by construction.
 from __future__ import annotations
 
 from concurrent.futures import TimeoutError as _FutureTimeoutError
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.persistence.scan import ScanQuery
 from repro.core.persistence.transfer import knowledge_from_dict, knowledge_to_dict
@@ -186,10 +186,17 @@ class ServiceDispatcher:
     argument payloads are validated here, so a malformed request becomes
     a typed ``bad-request`` error frame instead of an arbitrary
     exception (or a dead worker process).
+
+    ``run(op, *args)``, when given, runs each op on the calling thread
+    (a shard-group worker passes ``service.execute``); otherwise ops go
+    through the service's queue and ``timeout_s`` bounds the wait.
     """
 
-    def __init__(self, service: "KnowledgeService") -> None:
+    def __init__(
+        self, service: "KnowledgeService", run: Callable[..., object] | None = None
+    ) -> None:
         self.service = service
+        self._run = run
 
     def call(
         self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
@@ -220,6 +227,8 @@ class ServiceDispatcher:
             )
             error.wire_code = "bad-request"  # type: ignore[attr-defined]
             raise error from exc
+        if self._run is not None:
+            return encode_result(op, self._run(op, *args))
         future = self.service.submit(op, *args)
         try:
             result = future.result(timeout=timeout_s)

@@ -78,8 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard count when creating a new store (default 2; "
              "existing stores are discovered from their manifest)",
     )
-    parser.add_argument("--workers", type=int, default=4, help="worker threads")
-    parser.add_argument("--queue", type=int, default=64, help="request-queue bound")
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="queue worker threads of an embedded store (default 4); "
+             "refused with --listen, whose worker processes run each "
+             "request on its channel thread, and with knowledge+tcp:// URLs",
+    )
+    parser.add_argument(
+        "--queue", type=int, default=None, metavar="N",
+        help="admission-queue bound of an embedded store (default 64); "
+             "refused with --listen, which admits one request per worker "
+             "channel, and with knowledge+tcp:// URLs",
+    )
     parser.add_argument("--cache", type=int, default=128, help="result-cache capacity")
     parser.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -201,7 +211,6 @@ def _run_server(args: argparse.Namespace, metrics: MetricsRegistry) -> int:
         root, host=host, port=port, shards=shards,
         worker_processes=args.worker_processes,
         channels_per_worker=args.channels,
-        worker_threads=args.workers, queue_size=args.queue,
         cache_size=args.cache, metrics=metrics,
         supervise=not args.no_supervise,
         startup_deadline_s=args.startup_deadline,
@@ -301,6 +310,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("error: --chaos only applies to a --listen server",
                   file=sys.stderr)
             return 2
+        sizing = {
+            name: value
+            for name, value in (("workers", args.workers), ("queue", args.queue))
+            if value is not None
+        }
+        if sizing and (args.listen is not None or is_tcp_url(args.store)):
+            print(f"error: --{next(iter(sizing))} sizes the embedded service's "
+                  "queue; a --listen server or knowledge+tcp:// store has none "
+                  "(size a server with --worker-processes and --channels)",
+                  file=sys.stderr)
+            return 2
         if args.listen is not None:
             return _run_server(args, metrics)
         if is_tcp_url(args.store):
@@ -324,8 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         service = open_service(
-            args.store, metrics=metrics, shards=args.shards,
-            workers=args.workers, queue=args.queue, cache=args.cache,
+            args.store, metrics=metrics, shards=args.shards, cache=args.cache,
+            **sizing,
         )
         with ServiceClient(service) as client:
             if args.ingest:

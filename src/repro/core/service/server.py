@@ -53,6 +53,7 @@ from repro.core.service.ops import MUTATING_OPS, SERVICE_OPS
 from repro.core.service.shard import (
     KnowledgeShardMap,
     decode_knowledge_id,
+    group_by_owner,
     shard_index_for_key,
 )
 from repro.core.service.wire import (
@@ -463,32 +464,30 @@ class ShardRouter:
 
     def _save_many(self, payload: dict[str, object]) -> dict[str, object]:
         objects = payload["objects"]  # type: ignore[index]
-        if not objects:
-            return {"ids": []}
-        by_worker: dict[int, tuple[WorkerHandle, list[tuple[int, object]]]] = {}
-        for position, packed in enumerate(objects):  # type: ignore[arg-type]
-            worker = self._worker_of_shard(self._placement(packed))
-            by_worker.setdefault(worker.index, (worker, []))[1].append(
-                (position, packed)
-            )
+        groups = group_by_owner(
+            objects,  # type: ignore[arg-type]
+            lambda packed: self._worker_of_shard(self._placement(packed)).index,
+        )
+        workers = self._snapshot()
         ids: list[int] = [0] * len(objects)  # type: ignore[arg-type]
-        for worker, group in (by_worker[i] for i in sorted(by_worker)):
-            result = worker.call("save_many", {"objects": [o for _, o in group]})
+        for index, group in groups.items():
+            result = workers[index].call("save_many", {"objects": [o for _, o in group]})
             for (position, _), global_id in zip(group, result["ids"]):  # type: ignore[arg-type]
                 ids[position] = int(global_id)
         return {"ids": ids}
 
     def _fetch_many(self, payload: dict[str, object]) -> dict[str, object]:
         wanted = [int(i) for i in payload["ids"]]  # type: ignore[union-attr]
-        by_worker: dict[int, tuple[WorkerHandle, list[int]]] = {}
-        for global_id in dict.fromkeys(wanted):
-            worker = self._worker_of_shard(self._shard_of_id(global_id))
-            by_worker.setdefault(worker.index, (worker, []))[1].append(global_id)
+        groups = group_by_owner(
+            dict.fromkeys(wanted),
+            lambda global_id: self._worker_of_shard(self._shard_of_id(global_id)).index,
+        )
+        workers = self._snapshot()
         fetched: dict[int, object] = {}
-        for worker, group in (by_worker[i] for i in sorted(by_worker)):
-            result = worker.call("fetch_many", {"ids": group})
-            for global_id, packed in zip(group, result["objects"]):  # type: ignore[arg-type]
-                fetched[global_id] = packed
+        for index, group in groups.items():
+            ids = [global_id for _, global_id in group]
+            result = workers[index].call("fetch_many", {"ids": ids})
+            fetched.update(zip(ids, result["objects"]))  # type: ignore[arg-type]
         return {"objects": [fetched[i] for i in wanted]}
 
     def _merged_stats(self) -> dict[str, object]:
@@ -497,9 +496,6 @@ class ShardRouter:
             "shards": self.num_shards,
             "worker_processes": len(workers),
             "shard_groups": [list(w.owned_shards) for w in workers],
-            "workers": 0,
-            "queue_depth": 0,
-            "queue_size": 0,
             "cache_entries": 0,
             "cache_hits": 0,
             "cache_misses": 0,
@@ -509,8 +505,7 @@ class ShardRouter:
             "rows_per_shard": {},
         }
         summed = (
-            "workers", "queue_depth", "queue_size", "cache_entries",
-            "cache_hits", "cache_misses",
+            "cache_entries", "cache_hits", "cache_misses",
             "cache_evictions_stale", "cache_evictions_capacity",
         )
         for worker in workers:
@@ -772,8 +767,6 @@ class KnowledgeServer:
         shards: int | None = None,
         worker_processes: int = 2,
         channels_per_worker: int = 2,
-        worker_threads: int = 2,
-        queue_size: int = 64,
         cache_size: int = 128,
         max_frame: int = MAX_FRAME_BYTES,
         request_timeout_s: float = 30.0,
@@ -815,13 +808,9 @@ class KnowledgeServer:
         for index in range(self.num_shards):
             groups[index % n_workers].append(index)
         self._shard_groups = groups
-        self._worker_config = (
-            channels_per_worker, worker_threads, queue_size, cache_size
-        )
+        self._worker_config = (channels_per_worker, cache_size)
         self.workers: "list[WorkerHandle | CrashLoopedHandle]" = [
-            self._spawn_worker(
-                wi, owned, channels_per_worker, worker_threads, queue_size, cache_size
-            )
+            self._spawn_worker(wi, owned, channels_per_worker, cache_size)
             for wi, owned in enumerate(groups)
         ]
         for worker in self.workers:
@@ -862,8 +851,6 @@ class KnowledgeServer:
         worker_index: int,
         owned: list[int],
         channels_per_worker: int,
-        worker_threads: int,
-        queue_size: int,
         cache_size: int,
     ) -> WorkerHandle:
         pairs = [socket.socketpair() for _ in range(max(1, channels_per_worker))]
@@ -879,8 +866,6 @@ class KnowledgeServer:
             "--store", str(self.root),
             "--shards", ",".join(str(i) for i in owned),
             "--fds", ",".join(str(fd) for fd in child_fds),
-            "--threads", str(worker_threads),
-            "--queue", str(queue_size),
             "--cache", str(cache_size),
             "--max-frame", str(self.max_frame),
         ]
@@ -906,12 +891,8 @@ class KnowledgeServer:
         fails or overruns its startup handshake — the supervisor backs
         off and tries again under its restart budget.
         """
-        channels_per_worker, worker_threads, queue_size, cache_size = (
-            self._worker_config
-        )
         handle = self._spawn_worker(
-            index, self._shard_groups[index],
-            channels_per_worker, worker_threads, queue_size, cache_size,
+            index, self._shard_groups[index], *self._worker_config
         )
         try:
             handle.handshake(deadline_s=self._startup_deadline_s)

@@ -10,9 +10,11 @@ serving layer, embeddable in-process:
   :class:`~repro.util.errors.ServiceOverloadError` instead of letting
   callers pile onto a wedged SQLite file — overload degrades into
   client backoff, never a deadlock.
-* a **worker pool** drains the queue.  Every shard access happens under
-  that shard's lock (SQLite's single-writer discipline), so concurrency
-  comes from spreading keys across shards and from the result cache.
+* a **worker pool** drains the queue (a shard-group worker process
+  calls ``execute`` on its channel threads instead).  Every shard access
+  happens under that shard's lock (SQLite's single-writer discipline),
+  so concurrency comes from spreading keys across shards and from the
+  result cache.
 * reads go through an :class:`~repro.core.service.cache.EpochLRUCache`;
   every committed write bumps the owning shard's epoch, lazily evicting
   stale entries on their next lookup.  The cache holds the knowledge
@@ -35,13 +37,17 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.knowledge import Knowledge
 from repro.core.persistence.scan import ScanQuery, merge_partial_payloads
 from repro.core.service.cache import EpochLRUCache
-from repro.core.service.shard import KnowledgeShard, KnowledgeShardMap, encode_knowledge_id
+from repro.core.service.shard import (
+    KnowledgeShard,
+    KnowledgeShardMap,
+    encode_knowledge_id,
+    group_by_owner,
+)
 from repro.util.errors import (
     ConfigurationError,
     PersistenceError,
@@ -54,28 +60,22 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 __all__ = ["KnowledgeService"]
 
-_STOP = object()  # worker-shutdown sentinel
-
-
-@dataclass(slots=True)
-class _Request:
-    op: str
-    args: tuple
-    future: Future
+_STOP = object()  # worker-shutdown sentinel; requests are (op, args, future)
 
 
 class KnowledgeService:
     """Concurrent serving front for a :class:`KnowledgeShardMap`.
 
-    ``submit(op, *args)`` enqueues a request and returns a
-    :class:`~concurrent.futures.Future`; a full queue raises
+    ``execute(op, *args)`` runs one request on the calling thread;
+    ``submit(op, *args)`` enqueues it and returns a
+    :class:`~concurrent.futures.Future`, and a full queue raises
     :class:`ServiceOverloadError` immediately (admission control).
     :class:`~repro.core.service.client.ServiceClient` wraps this with
     deterministic-jitter backoff and a blocking API.
 
-    The service starts its workers on construction and is a context
-    manager; ``close()`` drains the queue, stops the workers and closes
-    every shard (flushing any degraded-mode write buffers).
+    The service starts its workers on the first ``submit`` and is a
+    context manager; ``close()`` drains the queue, stops the workers and
+    closes every shard (flushing any degraded-mode write buffers).
 
     Read results (``load``, ``fetch_many``, ``load_all``) are the very
     objects held by the read-through cache, shared with every later
@@ -120,6 +120,8 @@ class KnowledgeService:
         self.queue_size = queue_size
         self.cache = EpochLRUCache(cache_size, metrics=self.metrics)
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
+        self._start_lock = threading.Lock()
+        self._started = False
         self._stats_lock = threading.Lock()
         self._closed = False
         self._ops = {
@@ -139,22 +141,31 @@ class KnowledgeService:
             self._depth_gauge = self.metrics.gauge(
                 "service.queue_depth", "requests waiting in the service queue"
             )
-            self._worker_gauge = self.metrics.gauge(
-                "service.workers", "worker threads serving the queue"
-            )
-            self._worker_gauge.set(workers)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"knowledge-service-{i}", daemon=True
             )
             for i in range(workers)
         ]
-        for thread in self._workers:
-            thread.start()
 
     # ------------------------------------------------------------------
-    # admission + dispatch
+    # execution, admission + dispatch
     # ------------------------------------------------------------------
+    def execute(self, op: str, *args: object) -> object:
+        """Run one request of a known ``op`` on the calling thread, with
+        the same request count and latency accounting as a queued one."""
+        run = self._ops[op]
+        start = time.perf_counter()
+        try:
+            result = run(*args)
+        except BaseException:
+            self._count_request(op, "error")
+            raise
+        finally:
+            self._observe_latency(op, time.perf_counter() - start)
+        self._count_request(op, "ok")
+        return result
+
     def submit(self, op: str, *args: object) -> "Future[object]":
         """Enqueue one request; returns its future.
 
@@ -168,9 +179,17 @@ class KnowledgeService:
             raise ServiceError(
                 f"unknown service operation {op!r}; known: {sorted(self._ops)}"
             )
+        if not self._started:
+            with self._start_lock:  # a racing close() stops them or refuses
+                if self._closed:
+                    raise ServiceError("knowledge service is closed")
+                if not self._started:
+                    for thread in self._workers:
+                        thread.start()
+                    self._started = True
         future: "Future[object]" = Future()
         try:
-            self._queue.put_nowait(_Request(op=op, args=args, future=future))
+            self._queue.put_nowait((op, args, future))
         except queue.Full:
             self._count_request(op, "shed")
             raise ServiceOverloadError(
@@ -186,20 +205,16 @@ class KnowledgeService:
             try:
                 if item is _STOP:
                     return
-                request: _Request = item  # type: ignore[assignment]
+                op, args, future = item  # type: ignore[misc]
                 self._note_depth()
-                if not request.future.set_running_or_notify_cancel():
+                if not future.set_running_or_notify_cancel():
                     continue
-                start = time.perf_counter()
                 try:
-                    result = self._ops[request.op](*request.args)
+                    result = self.execute(op, *args)
                 except BaseException as exc:  # noqa: BLE001 - delivered via future
-                    self._count_request(request.op, "error")
-                    request.future.set_exception(exc)
+                    future.set_exception(exc)
                 else:
-                    self._count_request(request.op, "ok")
-                    request.future.set_result(result)
-                self._observe_latency(request.op, time.perf_counter() - start)
+                    future.set_result(result)
             finally:
                 self._queue.task_done()
 
@@ -261,13 +276,11 @@ class KnowledgeService:
         return global_id
 
     def _op_save_many(self, objects: Sequence[Knowledge]) -> list[int]:
-        by_shard: dict[int, list[tuple[int, Knowledge]]] = {}
-        for position, knowledge in enumerate(objects):
-            shard = self.shard_map.shard_for(knowledge)
-            self._check_owned(shard.index)
-            by_shard.setdefault(shard.index, []).append((position, knowledge))
+        groups = group_by_owner(objects, lambda k: self.shard_map.shard_for(k).index)
+        for index in groups:
+            self._check_owned(index)
         global_ids: list[int] = [0] * len(objects)
-        for index, group in sorted(by_shard.items()):
+        for index, group in groups.items():
             shard = self.shard_map.shards[index]
             start = time.perf_counter()
             with shard.lock:
@@ -332,7 +345,7 @@ class KnowledgeService:
         misses of each shard are fetched with one repository round-trip
         (``fetch_many``) under that shard's lock."""
         out: dict[int, Knowledge] = {}
-        misses_by_shard: dict[int, list[int]] = {}
+        misses: list[int] = []
         for global_id in dict.fromkeys(int(i) for i in global_ids):
             shard, _ = self.shard_map.shard_of(global_id)
             self._check_owned(shard.index)
@@ -341,16 +354,17 @@ class KnowledgeService:
             if hit:
                 out[global_id] = cached  # type: ignore[assignment]
             else:
-                misses_by_shard.setdefault(shard.index, []).append(global_id)
-        for index, group in sorted(misses_by_shard.items()):
+                misses.append(global_id)
+        groups = group_by_owner(misses, lambda gid: self.shard_map.shard_of(gid)[0].index)
+        for index, group in groups.items():
             shard = self.shard_map.shards[index]
             epochs = (self.shard_map.epoch(index),)
-            local_ids = [self.shard_map.shard_of(gid)[1] for gid in group]
+            local_ids = [self.shard_map.shard_of(gid)[1] for _, gid in group]
             start = time.perf_counter()
             with shard.lock:
                 loaded = shard.repository.fetch_many(local_ids)
             self._observe_shard(shard, time.perf_counter() - start)
-            for global_id, knowledge in zip(group, loaded):
+            for (_, global_id), knowledge in zip(group, loaded):
                 knowledge.knowledge_id = global_id
                 self.cache.put(("load", global_id), epochs, knowledge)
                 out[global_id] = knowledge
@@ -463,9 +477,6 @@ class KnowledgeService:
         return {
             "shards": self.shard_map.num_shards,
             "owned_shards": list(self.owned_shards),
-            "workers": len(self._workers),
-            "queue_depth": self._queue.qsize(),
-            "queue_size": self.queue_size,
             "cache_entries": len(self.cache),
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
@@ -486,13 +497,15 @@ class KnowledgeService:
 
     def close(self) -> None:
         """Drain the queue, stop the workers and close every shard."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._queue.put(_STOP)
-        for thread in self._workers:
-            thread.join()
+        with self._start_lock:
+            if self._closed:
+                return
+            self._closed = True
+        if self._started:
+            for _ in self._workers:
+                self._queue.put(_STOP)
+            for thread in self._workers:
+                thread.join()
         self.shard_map.close()
 
     def __enter__(self) -> "KnowledgeService":

@@ -28,7 +28,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, TypeVar
 
 from repro.core.persistence.backend import ResilientBackend
 from repro.core.persistence.database import KnowledgeDatabase
@@ -48,6 +48,7 @@ __all__ = [
     "decode_knowledge_id",
     "shard_key",
     "shard_index_for_key",
+    "group_by_owner",
     "KnowledgeShard",
     "KnowledgeShardMap",
 ]
@@ -109,6 +110,25 @@ def shard_index_for_key(key: str, num_shards: int) -> int:
     workers sharing any state.
     """
     return derive_seed(0, "knowledge-shard", key) % num_shards
+
+
+_Item = TypeVar("_Item")
+_Owner = TypeVar("_Owner", bound=Hashable)
+
+
+def group_by_owner(
+    items: Iterable[_Item], owner_of: Callable[[_Item], _Owner]
+) -> dict[_Owner, list[tuple[int, _Item]]]:
+    """Scatter a batch: ``{owner: [(position, item), ...]}``.
+
+    Owners come out in sorted order — the order shards are locked and
+    workers are called in — and each item keeps its input position so
+    the gathered results can be put back in input order.
+    """
+    groups: dict[_Owner, list[tuple[int, _Item]]] = {}
+    for position, item in enumerate(items):
+        groups.setdefault(owner_of(item), []).append((position, item))
+    return dict(sorted(groups.items()))  # type: ignore[type-var]
 
 
 @dataclass

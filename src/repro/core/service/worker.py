@@ -2,19 +2,23 @@
 
 The networked knowledge server (:mod:`repro.core.service.server`) does
 not touch SQLite itself — it routes.  Each *worker process* owns a
-disjoint group of shards and runs a full, embedded
+disjoint group of shards and runs an embedded
 :class:`~repro.core.service.service.KnowledgeService` over them:
-admission control, per-shard breaker quarantine and the epoch-
-invalidated LRU cache all live here as per-worker state, and SQLite
-writes to different shard groups no longer contend on one GIL.
+per-shard breaker quarantine and the epoch-invalidated LRU cache live
+here as per-worker state, and SQLite writes to different shard groups
+no longer contend on one GIL.
 
 The parent hands the worker one or more ``socketpair`` channel file
 descriptors on the command line (``--fds``); each channel speaks the
 same ``repro.wire/v1`` frames as the public TCP port, one in-flight
-request per channel.  The worker answers *every* failure — malformed
-payload, unknown op, shed request, wedged shard — with a typed error
-frame; nothing a peer sends can kill the process.  EOF on all channels
-(the parent closed them: graceful drain) flushes the shards and exits 0.
+request per channel.  The channel thread that reads a request runs it
+(``KnowledgeService.execute``); the service's queue and thread pool
+never start, because the front end's channel pool is the admission
+control.  The worker answers *every* failure — malformed payload,
+unknown op, wedged shard — with a typed error frame and keeps serving
+the channel; nothing a peer sends can kill the process.  EOF on all
+channels (the parent closed them: graceful drain) flushes the shards
+and exits 0.
 """
 
 from __future__ import annotations
@@ -118,8 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         "--fds", required=True,
         help="comma-separated channel socket file descriptors",
     )
-    parser.add_argument("--threads", type=int, default=2, help="service worker threads")
-    parser.add_argument("--queue", type=int, default=64, help="admission queue size")
     parser.add_argument("--cache", type=int, default=128, help="LRU cache entries")
     parser.add_argument(
         "--max-frame", type=int, default=MAX_FRAME_BYTES, help="frame body cap (bytes)"
@@ -138,14 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(options.store, metrics=metrics)
     service = KnowledgeService(
-        shard_map,
-        workers=options.threads,
-        queue_size=options.queue,
-        cache_size=options.cache,
-        metrics=metrics,
-        owned_shards=owned,
+        shard_map, cache_size=options.cache, metrics=metrics, owned_shards=owned
     )
-    dispatcher = ServiceDispatcher(service)
+    dispatcher = ServiceDispatcher(service, run=service.execute)
     threads = [
         threading.Thread(
             target=serve_channel,

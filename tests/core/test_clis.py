@@ -202,3 +202,40 @@ class TestExploreDiff:
         assert "Configuration changes:" in out
         assert "xfersize" in out
         assert "write.bw_mean" in out
+
+
+class TestServeSizingFlags:
+    @pytest.mark.parametrize("flag", ["--workers", "--queue"])
+    @pytest.mark.parametrize("target", ["listen", "tcp-url"])
+    def test_queue_flags_refused_where_no_queue_exists(self, tmp_path, capsys,
+                                                       flag, target):
+        from repro.core.service.serve import main as serve_main
+
+        if target == "listen":
+            argv = [str(tmp_path / "store"), "--listen", "127.0.0.1:0"]
+        else:
+            argv = ["knowledge+tcp://127.0.0.1:9/"]
+        assert serve_main(argv + [flag, "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} sizes the embedded service's queue" in err
+        assert not (tmp_path / "store").exists()  # refused before any work
+
+    @pytest.mark.parametrize("flags,sizing", [
+        ([], (4, 64)),
+        (["--workers", "3", "--queue", "5"], (3, 5)),
+    ])
+    def test_queue_flags_size_an_embedded_store(self, tmp_path, monkeypatch,
+                                                flags, sizing):
+        from repro.core.service import serve
+
+        opened = []
+
+        def spy(*args, **kwargs):
+            service = real_open(*args, **kwargs)
+            opened.append((len(service._workers), service.queue_size))
+            return service
+
+        real_open = serve.open_service
+        monkeypatch.setattr(serve, "open_service", spy)
+        assert serve.main([str(tmp_path / "store"), "--shards", "1"] + flags) == 0
+        assert opened == [sizing]

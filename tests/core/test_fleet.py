@@ -737,14 +737,11 @@ def test_fleet_soak_under_scheduled_sigkills(tmp_path, fault_seed):
         seed=fault_seed, supervise_interval_s=0.05,
         crash_loop_threshold=1000, metrics=metrics,
     )
-    # The killer counts supervision ticks (50 ms each).  A kill every
-    # 10 ticks lands its first kill (0.5 s) before a cold launcher has
-    # finished importing (about 0.8 s on a 2-core host), so kills >= 1,
-    # while round-robin over 4 launchers leaves each about 2 s to live,
-    # longer than 4 cold starts sharing 2 cores (about 1.6 s).  At 5
-    # ticks each launcher lived about 1 s and the drain stalled.
+    # The killer is fed the campaign's DONE count: one kill per 25 DONE
+    # jobs, about 7 over the drain.  Each kill comes only after progress,
+    # so a slow cold start delays kills instead of stalling the drain.
     fleet.killer = WorkerKiller(
-        fleet, every_frames=10, metrics=metrics,
+        fleet, every_frames=25, metrics=metrics,
         metric_name="fleet.chaos.faults_total",
     )
     counts = fleet.run()

@@ -25,6 +25,7 @@ from repro.core.service import (
     ServiceClient,
     decode_knowledge_id,
     encode_knowledge_id,
+    group_by_owner,
     is_service_url,
     open_service,
     parse_service_url,
@@ -353,6 +354,84 @@ def test_submit_rejects_unknown_op_and_closed_service(tmp_path):
     svc.close()
     with pytest.raises(ServiceError, match="closed"):
         svc.submit("count", None)
+
+
+def _accounting(metrics: MetricsRegistry) -> tuple[dict, dict]:
+    """``requests_total`` by (op, outcome) and ``request_seconds`` sample
+    counts by op, from one metrics snapshot."""
+    snap = metrics.snapshot()
+    requests = {
+        (row["labels"]["op"], row["labels"]["outcome"]): row["value"]
+        for row in snap["counters"]["service.requests_total"]["series"]
+    }
+    samples = {
+        row["labels"]["op"]: row["count"]
+        for row in snap["histograms"]["service.request_seconds"]["series"]
+    }
+    return requests, samples
+
+
+def test_execute_and_submit_keep_the_same_accounting(tmp_path):
+    def drive(run) -> tuple[dict, dict]:
+        metrics = MetricsRegistry()
+        shard_map = KnowledgeShardMap(tmp_path / f"store-{run}", num_shards=2,
+                                      metrics=metrics)
+        with KnowledgeService(shard_map, workers=2, metrics=metrics) as svc:
+            if run == "execute":
+                call = svc.execute
+            else:
+                def call(op, *args):
+                    return svc.submit(op, *args).result(timeout=10)
+            gid = call("save", make_knowledge(1))
+            ids = call("save_many", [make_knowledge(m, host=f"n{m}") for m in range(2, 6)])
+            assert [k.parameters["marker"] for k in call("fetch_many", ids)] == [2, 3, 4, 5]
+            assert call("count", None) == 5
+            call("delete", gid)
+            with pytest.raises(PersistenceError):
+                call("load", gid)  # the op error is counted, then raised
+            assert call("exists", gid) is False
+        return _accounting(metrics)
+
+    executed, queued = drive("execute"), drive("submit")
+    assert executed == queued
+    requests, samples = executed
+    assert requests[("load", "error")] == 1
+    assert samples["load"] == 1 and samples["save_many"] == 1
+
+
+def test_queue_workers_start_on_first_submit(tmp_path):
+    def service_threads() -> list[str]:
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("knowledge-service-")]
+
+    before = service_threads()
+    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
+    with KnowledgeService(shard_map, workers=3) as svc:
+        gid = svc.execute("save", make_knowledge(1))
+        assert svc.execute("load", gid).parameters["marker"] == 1
+        assert service_threads() == before  # inline ops start no pool
+        assert svc.submit("count", None).result(timeout=10) == 1
+        assert len(service_threads()) == len(before) + 3
+    assert service_threads() == before  # close() stopped them
+
+
+def test_close_without_submit_needs_no_workers(tmp_path):
+    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
+    svc = KnowledgeService(shard_map, workers=2, queue_size=1)
+    svc.close()  # never started: no sentinels to queue, no hang
+    with pytest.raises(ServiceError, match="closed"):
+        svc.submit("count", None)
+
+
+def test_group_by_owner_keeps_positions_in_sorted_owner_order():
+    groups = group_by_owner(["b1", "a1", "c1", "a2", "b2"], lambda s: s[0])
+    assert list(groups) == ["a", "b", "c"]
+    assert groups == {
+        "a": [(1, "a1"), (3, "a2")],
+        "b": [(0, "b1"), (4, "b2")],
+        "c": [(2, "c1")],
+    }
+    assert group_by_owner([], len) == {}
 
 
 # ----------------------------------------------------------------------

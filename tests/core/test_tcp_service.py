@@ -145,6 +145,31 @@ class TestTcpParity:
             with pytest.raises(WireProtocolError):  # bad-request from the router
                 client.transport.call("load", {"junk": True})
 
+    def test_op_error_leaves_the_worker_channel_serving(self, tmp_path):
+        """One worker, one channel: the failing op runs on the worker's
+        channel thread, comes back as a typed error frame, and the same
+        channel (same process) answers the next request."""
+        srv = KnowledgeServer(
+            tmp_path / "store", shards=1, worker_processes=1,
+            channels_per_worker=1, request_timeout_s=15.0,
+        ).start()
+        try:
+            pid = srv.health()["workers"][0]["pid"]
+            with ServiceClient.open(_url(srv) + "?pool=1") as client:
+                gid = client.save(make_knowledge(1))
+                client.delete(gid)
+                with pytest.raises(PersistenceError) as excinfo:
+                    client.load(gid)
+                assert excinfo.value.wire_code == "persistence"
+                assert client.count() == 0
+                kept = client.save(make_knowledge(2))
+                assert client.load(kept).parameters["marker"] == 2
+            worker = srv.health()["workers"][0]
+            assert worker["pid"] == pid and worker["alive"]
+            assert worker["breaker"] == "closed"
+        finally:
+            srv.close()
+
     def test_hello_negotiation_and_server_info(self, server):
         with ServiceClient.open(_url(server)) as client:
             assert client.ping() is True
