@@ -45,9 +45,9 @@ from repro.pfs.layout import StripeLayout
 from repro.pfs.metadata import MetadataServer
 from repro.pfs.pool import RAIDScheme, StoragePool
 from repro.util.errors import ConfigurationError
-from repro.util.rng import lognormal_factor, stream
+from repro.util.rng import RankSeeds, lognormal_factor, stream
 
-__all__ = ["PerfModelParams", "PhaseContext", "PerfModel"]
+__all__ = ["PerfModelParams", "PhaseContext", "PhaseRoofline", "ROOFLINE_TERMS", "PerfModel"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +92,10 @@ class PhaseContext:
     fsync: bool = False
     random_access: bool = False
     tags: Mapping[str, object] = field(default_factory=dict)
+    # The performance model's per-phase memos: its roofline and the hashed
+    # prefixes of the per-rank noise keys.  They die with the context, and
+    # a context derived with ``dataclasses.replace`` starts without them.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.active_procs <= 0:
@@ -106,6 +110,89 @@ class PhaseContext:
     def noise_key(self, *extra: object) -> tuple[object, ...]:
         """Deterministic key identifying this phase for noise streams."""
         return (tuple(sorted((str(k), repr(v)) for k, v in self.tags.items())), self.access, *extra)
+
+
+def _size_efficiency(transfer_size: int, size_half: int) -> float:
+    if transfer_size <= 0:
+        raise ConfigurationError(f"transfer size must be positive, got {transfer_size}")
+    return transfer_size / (transfer_size + size_half)
+
+
+def _shared_file_penalty(
+    params: PerfModelParams, transfer_size: int, chunk_size: int, collective: bool
+) -> float:
+    floor = params.shared_small_floor
+    align = min(1.0, transfer_size / chunk_size)
+    penalty = floor + (1.0 - floor) * align
+    if collective:
+        return max(penalty, params.collective_efficiency)
+    return penalty
+
+
+#: Names of the per-rank ceilings, in the order :class:`PhaseRoofline` takes their ``min``.
+ROOFLINE_TERMS = ("pool", "span", "client", "nic", "fabric")
+
+
+@dataclass(frozen=True, slots=True)
+class PhaseRoofline:
+    """The bandwidth ceilings of one phase, computed once per :class:`PhaseContext`.
+
+    Every term that depends only on the phase and the storage state is
+    held here; a call adds the transfer size and the stripe layout.
+    The ceilings, per rank:
+
+    * ``pool`` — the pool aggregate, derated by transfer size and
+      contention, fair-shared over the active processes;
+    * ``span`` — the file's stripe targets, paced by the slowest one;
+    * ``client`` — the single-stream client limit;
+    * ``nic`` — the worst node's NIC, fair-shared on the node;
+    * ``fabric`` — the fabric section, fair-shared over active processes.
+
+    Built by :meth:`PerfModel.roofline`.
+    """
+
+    params: PerfModelParams
+    pool_name: str
+    active_procs: int
+    fs_factor: float  # filesystem-scoped fault slowdown
+    target_bw: Mapping[int, float]  # per target, after health and target/server faults
+    pool_bw: float  # target_bw summed in pool order, after the RAID write cost
+    contention: float  # client-contention efficiency
+    nic_share: float
+    fabric_share: float
+    shared_file: bool
+    collective: bool
+    random_factor: float  # random-offset penalty; 1.0 for sequential access
+    fsync_factor: float  # fsync write-path derating; 1.0 without
+
+    def terms(self, transfer_size: int, layout: StripeLayout) -> tuple[float, ...]:
+        """The per-rank ceilings in bytes/s, in :data:`ROOFLINE_TERMS` order."""
+        size_eff = _size_efficiency(transfer_size, self.params.size_half)
+        pool = self.pool_bw * (size_eff * self.contention * self.fs_factor) / self.active_procs
+        # One stream only reaches its file's targets, and a balanced
+        # RAID0 stripe finishes when its *slowest* target does.
+        try:
+            slowest = min([self.target_bw[tid] for tid in layout.target_ids])
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"target {exc.args[0]} not in pool {self.pool_name!r}"
+            ) from None
+        span = layout.num_targets * slowest * size_eff * self.fs_factor
+        return (pool, span, self.params.client_stream_bw_bps, self.nic_share, self.fabric_share)
+
+    def bandwidth_bps(self, transfer_size: int, layout: StripeLayout) -> float:
+        """Deterministic bandwidth one process achieves in this phase."""
+        bw = min(self.terms(transfer_size, layout))
+        if self.shared_file:
+            bw *= _shared_file_penalty(
+                self.params, transfer_size, layout.chunk_size, self.collective
+            )
+        return bw * self.random_factor * self.fsync_factor
+
+    def binding(self, transfer_size: int, layout: StripeLayout) -> str:
+        """Name of the ceiling that bounds one process (see :data:`ROOFLINE_TERMS`)."""
+        terms = self.terms(transfer_size, layout)
+        return ROOFLINE_TERMS[terms.index(min(terms))]
 
 
 class PerfModel:
@@ -132,9 +219,7 @@ class PerfModel:
     # ------------------------------------------------------------------
     def size_efficiency(self, transfer_size: int) -> float:
         """Device efficiency of one request of ``transfer_size`` bytes."""
-        if transfer_size <= 0:
-            raise ConfigurationError(f"transfer size must be positive, got {transfer_size}")
-        return transfer_size / (transfer_size + self.params.size_half)
+        return _size_efficiency(transfer_size, self.params.size_half)
 
     def contention_efficiency(self, active_procs: int) -> float:
         """Server-side efficiency under ``active_procs`` concurrent streams."""
@@ -150,61 +235,67 @@ class PerfModel:
         two applies when collectives are on (aggregation never hurts a
         pattern that was already aligned).
         """
-        floor = self.params.shared_small_floor
-        align = min(1.0, transfer_size / chunk_size)
-        penalty = floor + (1.0 - floor) * align
-        if collective:
-            return max(penalty, self.params.collective_efficiency)
-        return penalty
+        return _shared_file_penalty(self.params, transfer_size, chunk_size, collective)
 
     # ------------------------------------------------------------------
     # bandwidth rooflines
     # ------------------------------------------------------------------
+    def roofline(self, ctx: PhaseContext) -> PhaseRoofline:
+        """The phase's roofline, built once and kept on the context.
+
+        The kept roofline is stamped with the target healths and the
+        fault list it was built from, and is rebuilt as soon as either
+        changes, so a degrade, restore or fault added between two calls
+        with the same context shows in the next one.
+        """
+        healths = [t.health for t in self.pool.targets]
+        held = ctx.memo.get(self)
+        if held is not None and held[0] == healths and held[1] == self.faults.faults:
+            return held[2]
+        roofline = self._build_roofline(ctx)
+        ctx.memo[self] = (healths, list(self.faults.faults), roofline)
+        return roofline
+
+    def _build_roofline(self, ctx: PhaseContext) -> PhaseRoofline:
+        p = self.params
+        access = ctx.access
+        target_bw: dict[int, float] = {}
+        pool_bw = 0.0
+        for t in self.pool.targets:
+            bw = t.effective_bandwidth_bps(access) * self.faults.target_factor(
+                t.target_id, t.server, ctx.tags
+            )
+            # As in StoragePool.target, the first target with an id answers for it.
+            target_bw.setdefault(t.target_id, bw)
+            pool_bw += bw
+        if access == "write":
+            pool_bw *= RAIDScheme.WRITE_EFFICIENCY[self.pool.raid_scheme]
+        random_penalty = p.random_penalty_write if access == "write" else p.random_penalty_read
+        return PhaseRoofline(
+            params=p,
+            pool_name=self.pool.name,
+            active_procs=ctx.active_procs,
+            fs_factor=self.faults.filesystem_factor(ctx.tags),
+            target_bw=target_bw,
+            pool_bw=pool_bw,
+            contention=self.contention_efficiency(ctx.active_procs),
+            nic_share=(
+                self.interconnect.spec.link_bandwidth_bps
+                * min(ctx.node_factors)
+                / ctx.procs_per_node
+            ),
+            fabric_share=self.interconnect.fabric_ceiling_bps() / ctx.active_procs,
+            shared_file=ctx.shared_file,
+            collective=ctx.collective,
+            random_factor=random_penalty if ctx.random_access else 1.0,
+            fsync_factor=p.fsync_bw_factor if ctx.fsync and access == "write" else 1.0,
+        )
+
     def per_rank_bandwidth_bps(
         self, transfer_size: int, layout: StripeLayout, ctx: PhaseContext
     ) -> float:
         """Deterministic bandwidth one process achieves in this phase."""
-        p = self.params
-        size_eff = self.size_efficiency(transfer_size)
-        fs_factor = self.faults.filesystem_factor(ctx.tags)
-
-        # Device side: pool aggregate, fair-shared over active procs.
-        pool_agg = 0.0
-        for t in self.pool.targets:
-            tf = self.faults.target_factor(t.target_id, t.server, ctx.tags)
-            pool_agg += t.effective_bandwidth_bps(ctx.access) * tf
-        if ctx.access == "write":
-            pool_agg *= RAIDScheme.WRITE_EFFICIENCY[self.pool.raid_scheme]
-        pool_agg *= size_eff * self.contention_efficiency(ctx.active_procs) * fs_factor
-        per_rank_pool = pool_agg / ctx.active_procs
-
-        # Stripe span: one stream only reaches its file's targets, and a
-        # balanced RAID0 stripe finishes when its *slowest* target does.
-        slowest = math.inf
-        for tid in layout.target_ids:
-            target = self.pool.target(tid)
-            tf = self.faults.target_factor(tid, target.server, ctx.tags)
-            slowest = min(slowest, target.effective_bandwidth_bps(ctx.access) * tf)
-        span = layout.num_targets * slowest * size_eff * fs_factor
-
-        # Network side: NIC fair share and fabric aggregate share.
-        worst_node = min(ctx.node_factors)
-        nic_share = (
-            self.interconnect.spec.link_bandwidth_bps * worst_node / ctx.procs_per_node
-        )
-        fabric_share = self.interconnect.fabric_ceiling_bps() / ctx.active_procs
-
-        bw = min(per_rank_pool, span, p.client_stream_bw_bps, nic_share, fabric_share)
-
-        if ctx.shared_file:
-            bw *= self.shared_file_penalty(transfer_size, layout.chunk_size, ctx.collective)
-        if ctx.random_access:
-            bw *= (
-                p.random_penalty_write if ctx.access == "write" else p.random_penalty_read
-            )
-        if ctx.fsync and ctx.access == "write":
-            bw *= p.fsync_bw_factor
-        return bw
+        return self.roofline(ctx).bandwidth_bps(transfer_size, layout)
 
     def transfer_time_s(self, nbytes: int, layout: StripeLayout, ctx: PhaseContext) -> float:
         """Deterministic wall time of one transfer by one process."""
@@ -233,8 +324,18 @@ class PerfModel:
         sigma = (
             self.params.sigma_op_write if ctx.access == "write" else self.params.sigma_op_read
         )
-        rng = stream(self.root_seed, "op", ctx.noise_key("rank", rank))
+        rng = self._rank_seeds(ctx, "op").stream(rank)
         return base * lognormal_factor(rng, sigma, n_ops)
+
+    def _rank_seeds(self, ctx: PhaseContext, *head: object) -> RankSeeds:
+        """Seeds of the streams keyed ``(*head, ctx.noise_key("rank", rank))``."""
+        key = (self.root_seed, *head)
+        seeds = ctx.memo.get(key)
+        if seeds is None:
+            seeds = ctx.memo[key] = RankSeeds(
+                self.root_seed, *head, tail=ctx.noise_key("rank")
+            )
+        return seeds
 
     def phase_noise_factor(self, ctx: PhaseContext, kind: str = "data") -> float:
         """Whole-phase noise factor (system-state variation between runs)."""
@@ -268,7 +369,7 @@ class PerfModel:
         if n_ops <= 0:
             raise ConfigurationError(f"n_ops must be >= 1, got {n_ops}")
         base = self.metadata_time_s(op, ctx, shared_dir)
-        rng = stream(self.root_seed, "md", op, ctx.noise_key("rank", rank))
+        rng = self._rank_seeds(ctx, "md", op).stream(rank)
         return base * lognormal_factor(rng, self.params.sigma_metadata, n_ops)
 
     def fsync_time_s(self) -> float:

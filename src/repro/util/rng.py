@@ -15,7 +15,25 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["derive_seed", "stream", "lognormal_factor"]
+__all__ = ["derive_seed", "RankSeeds", "stream", "lognormal_factor"]
+
+
+def _key_hash(root_seed: int, key: tuple[object, ...]) -> hashlib._Hash:
+    h = hashlib.sha256()
+    h.update(str(int(root_seed)).encode())
+    for part in key:
+        h.update(b"\x1f")
+        h.update(repr(part).encode())
+    return h
+
+
+def _seed_of(h: hashlib._Hash) -> int:
+    return int.from_bytes(h.digest()[:8], "big") >> 1
+
+
+def _generator(seed: int) -> np.random.Generator:
+    # numpy's own definition of ``default_rng(seed)``, without the wrapper.
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def derive_seed(root_seed: int, *key: object) -> int:
@@ -26,17 +44,45 @@ def derive_seed(root_seed: int, *key: object) -> int:
     used and the derivation is stable across processes and Python
     versions.
     """
-    h = hashlib.sha256()
-    h.update(str(int(root_seed)).encode())
-    for part in key:
-        h.update(b"\x1f")
-        h.update(repr(part).encode())
-    return int.from_bytes(h.digest()[:8], "big") >> 1
+    return _seed_of(_key_hash(root_seed, key))
+
+
+class RankSeeds:
+    """Seeds ``derive_seed(root_seed, *head, (*tail, rank))`` for any ``rank``.
+
+    Per-rank streams share everything but the rank, so the shared
+    prefix — the root seed, ``head`` and the ``repr`` of the key tuple
+    up to its last element — is hashed once, and each rank only copies
+    that hash state and appends ``repr(rank)`` and the tuple's closing
+    bracket.  Seeds and draws equal the full derivation's.
+    """
+
+    __slots__ = ("_prefix", "_close")
+
+    def __init__(self, root_seed: int, *head: object, tail: tuple[object, ...]) -> None:
+        h = _key_hash(root_seed, head)
+        h.update(b"\x1f(")
+        for part in tail:
+            h.update(repr(part).encode())
+            h.update(b", ")
+        self._prefix = h
+        # A one-element tuple renders as ``(x,)``.
+        self._close = b")" if tail else b",)"
+
+    def seed(self, rank: int) -> int:
+        """``derive_seed(root_seed, *head, (*tail, rank))``."""
+        h = self._prefix.copy()
+        h.update(repr(rank).encode() + self._close)
+        return _seed_of(h)
+
+    def stream(self, rank: int) -> np.random.Generator:
+        """The generator :func:`stream` returns for the same key."""
+        return _generator(self.seed(rank))
 
 
 def stream(root_seed: int, *key: object) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``(root_seed, *key)``."""
-    return np.random.default_rng(derive_seed(root_seed, *key))
+    return _generator(derive_seed(root_seed, *key))
 
 
 def lognormal_factor(

@@ -10,11 +10,14 @@ deterministic under a seed.
 import numpy as np
 import pytest
 
+from repro.benchmarks_io.io500 import IO500Config, run_io500
+from repro.benchmarks_io.ior import parse_command, run_ior
 from repro.cluster.interconnect import Interconnect
+from repro.iostack.stack import Testbed
 from repro.pfs.beegfs import BeeGFS
 from repro.pfs.faults import Fault, FaultInjector, FaultScope
 from repro.pfs.layout import StripeLayout
-from repro.pfs.perfmodel import PhaseContext
+from repro.pfs.perfmodel import PerfModel, PhaseContext
 from repro.util.errors import ConfigurationError
 from repro.util.units import KIB, MIB
 
@@ -142,6 +145,119 @@ class TestBandwidthShapes:
         fs.pool.target(lo.target_ids[0]).degrade(0.1)
         after = fs.model.per_rank_bandwidth_bps(8 * MIB, lo, c)
         assert after < before
+
+
+class TestRooflineCache:
+    def test_reused_context_follows_every_state_change(self, fs):
+        # One context kept across every kind of storage-state change must
+        # answer what a model seeing the state for the first time answers.
+        # Each step moves the answer, so a roofline kept past any one of
+        # them fails here.
+        lo = layout(fs)
+        server = fs.pool.target(lo.target_ids[0]).server
+        c = ctx(procs=1, ppn=1)
+
+        def fresh():
+            m = fs.model
+            model = PerfModel(m.pool, m.mds, m.interconnect, m.params, m.faults, m.root_seed)
+            return model.per_rank_bandwidth_bps(8 * MIB, lo, ctx(procs=1, ppn=1))
+
+        steps = [
+            lambda: fs.pool.target(lo.target_ids[0]).degrade(0.1),
+            lambda: fs.pool.target(lo.target_ids[0]).restore(),
+            lambda: fs.degrade_server(server, 0.3),
+            lambda: fs.faults.add(
+                Fault(name="broken", factor=0.5, scope=FaultScope.SERVER, server=server)
+            ),
+            fs.faults.clear,
+        ]
+        previous = fs.model.per_rank_bandwidth_bps(8 * MIB, lo, c)
+        for step in steps:
+            step()
+            value = fs.model.per_rank_bandwidth_bps(8 * MIB, lo, c)
+            assert value == fresh()
+            assert value != previous
+            previous = value
+
+    def test_layout_outside_pool_is_a_configuration_error(self, fs):
+        stray = StripeLayout(chunk_size=512 * KIB, target_ids=(101, 999))
+        with pytest.raises(ConfigurationError, match="target 999 not in pool"):
+            fs.model.per_rank_bandwidth_bps(2 * MIB, stray, ctx())
+
+
+def _bandwidth_queries(testbed, run):
+    """(context, transfer size, layout) of every bandwidth query ``run`` makes."""
+    model = testbed.fs.model
+    queries = []
+    real = model.per_rank_bandwidth_bps
+
+    def spy(transfer_size, lo, c):
+        queries.append((c, transfer_size, lo))
+        return real(transfer_size, lo, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "per_rank_bandwidth_bps", spy)
+        run()
+    return queries
+
+
+class TestBindingAtCalibrationPoints:
+    """The paper's calibration points are bound by the resource it blames."""
+
+    # §V-E1's command with two iterations; the second one is Fig. 5's.
+    COMMAND = "ior -a mpiio -b 4m -t 2m -s 40 -F -C -e -i 2 -o /scratch/test80 -k"
+
+    @pytest.fixture(scope="class")
+    def ior_writes(self):
+        testbed = Testbed.fuchs_csc(seed=2022)
+        testbed.fs.faults.add(
+            Fault(name="degraded-iter2", factor=0.44,
+                  when={"benchmark": "ior", "iteration": 1, "op": "write"})
+        )
+        queries = _bandwidth_queries(
+            testbed,
+            lambda: run_ior(parse_command(self.COMMAND), testbed, num_nodes=4, tasks_per_node=20),
+        )
+        writes = {0: [], 1: []}
+        for c, size, lo in queries:
+            if c.access == "write":
+                writes[c.tags["iteration"]].append((testbed.fs.model.roofline(c), size, lo))
+        return writes
+
+    def test_section_v_e1_write_is_pool_bound(self, ior_writes):
+        assert len(ior_writes[0]) == 80
+        assert {rl.binding(size, lo) for rl, size, lo in ior_writes[0]} == {"pool"}
+        rl, size, lo = ior_writes[0][0]
+        aggregate_mib = [t * rl.active_procs / MIB for t in rl.terms(size, lo)]
+        assert aggregate_mib == pytest.approx([2936, 137173, 91553, 25940, 25749], abs=1)
+
+    def test_fig5_degraded_iteration_is_pool_bound(self, ior_writes):
+        assert len(ior_writes[1]) == 80
+        # Storage-side, as the paper's degraded-storage reading needs.
+        assert {rl.binding(size, lo) for rl, size, lo in ior_writes[1]} == {"pool"}
+
+    def test_fig6_broken_server_read_is_pool_bound(self):
+        testbed = Testbed.fuchs_csc(seed=650)
+        testbed.fs.faults.add(
+            Fault(name="broken-node", factor=0.35, scope="server", server="stor01",
+                  when={"op": "read"})
+        )
+        queries = _bandwidth_queries(
+            testbed,
+            lambda: run_io500(IO500Config(workdir="/scratch/io500/broken"), testbed,
+                              num_nodes=2, tasks_per_node=20, run_id=99),
+        )
+        easy_reads = [
+            (testbed.fs.model.roofline(c), size, lo)
+            for c, size, lo in queries
+            if c.tags.get("phase") == "ior-easy-read"
+        ]
+        assert len(easy_reads) == 40
+        # Some ranks stripe over the broken server, some do not.
+        assert any("stor01" in {testbed.fs.pool.target(t).server for t in lo.target_ids}
+                   for _, _, lo in easy_reads)
+        # Storage-side, where the paper puts the "broken node".
+        assert {rl.binding(size, lo) for rl, size, lo in easy_reads} == {"pool"}
 
 
 class TestFaults:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.rng import choice_without_replacement, derive_seed, lognormal_factor, stream
+from repro.pfs.perfmodel import PhaseContext
+from repro.util.rng import (
+    RankSeeds,
+    choice_without_replacement,
+    derive_seed,
+    lognormal_factor,
+    stream,
+)
 
 
 class TestDeriveSeed:
@@ -36,6 +43,47 @@ class TestStream:
         a = stream(7, "phase", 3).random(5)
         b = stream(7, "phase", 4).random(5)
         assert not np.array_equal(a, b)
+
+    def test_draws_equal_default_rng(self):
+        seed = derive_seed(7, "phase", 3)
+        expected = np.random.default_rng(seed).random(5)
+        assert np.array_equal(stream(7, "phase", 3).random(5), expected)
+
+
+tag_values = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.floats(allow_nan=False),
+)
+
+
+class TestRankSeeds:
+    @given(
+        root=st.integers(min_value=0, max_value=2**62),
+        tags=st.dictionaries(st.text(max_size=10), tag_values, max_size=6),
+        access=st.sampled_from(["read", "write"]),
+        head=st.sampled_from([("op",), ("md", "create"), ("md", "stat")]),
+        rank=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_equals_full_derivation(self, root, tags, access, head, rank):
+        ctx = PhaseContext(
+            active_procs=1, procs_per_node=1, node_factors=(1.0,), access=access, tags=tags
+        )
+        seeds = RankSeeds(root, *head, tail=ctx.noise_key("rank"))
+        seed = derive_seed(root, *head, ctx.noise_key("rank", rank))
+        assert seeds.seed(rank) == seed
+        expected = lognormal_factor(np.random.default_rng(seed), 0.05, 16)
+        assert np.array_equal(lognormal_factor(seeds.stream(rank), 0.05, 16), expected)
+
+    @pytest.mark.parametrize("tail", [(), ("x",), (("a", "1"), "write", "rank")])
+    def test_short_tails(self, tail):
+        # A one-element key tuple renders as ``(rank,)``.
+        assert RankSeeds(3, "op", tail=tail).seed(7) == derive_seed(3, "op", (*tail, 7))
+
+    def test_each_rank_from_the_same_prefix(self):
+        seeds = RankSeeds(5, "op", tail=("k",))
+        ranks = (2, 1, 2)
+        assert [seeds.seed(r) for r in ranks] == [derive_seed(5, "op", ("k", r)) for r in ranks]
 
 
 class TestLognormalFactor:
