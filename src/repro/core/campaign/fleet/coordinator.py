@@ -36,7 +36,7 @@ from repro.core.campaign.store import CampaignStore
 from repro.core.campaign.fleet.watch import render_fleet_view
 from repro.core.resilience import RetryPolicy
 from repro.core.supervise import SupervisedSlot
-from repro.util.errors import CampaignError
+from repro.util.errors import CampaignError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.metrics import MetricsRegistry
@@ -187,6 +187,16 @@ class LauncherFleet:
         if slot.partition is not None:
             argv += ["--partition", slot.partition]
         slot.process = subprocess.Popen(argv)
+        # Name the launcher on the scoreboard now: one that is stopped
+        # before its own first report (a fast peer drained the queue)
+        # still shows up as a launcher this fleet started.
+        try:
+            self.store.report_launcher(
+                self.campaign_id, slot.name,
+                state="starting", pid=slot.process.pid, placement=slot.partition,
+            )
+        except ReproError:
+            pass  # the scoreboard must never take the fleet down
 
     def _gauge_alive(self) -> None:
         if self.metrics is not None:

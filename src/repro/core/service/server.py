@@ -15,7 +15,9 @@ Three pieces, one wire protocol:
   multi-shard operations (``save_many``/``fetch_many``/``list_ids``/
   ``count``/``find_by_parameter``/``load_all``/``stats``) are split per
   worker and merged back in the exact order the embedded service would
-  have produced.
+  have produced.  The read-only ones are scattered to every owning
+  worker before any reply is read; single-owner results and
+  ``fetch_many`` objects are relayed as bytes, never decoded here.
 * :class:`KnowledgeServer` — the TCP front end: accepts connections,
   answers ``hello`` protocol negotiation, hardens against malformed
   frames (typed error frame or clean close — never a crashed thread),
@@ -43,7 +45,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import repro
 from repro.core.persistence.scan import merge_partial_payloads
@@ -62,9 +64,16 @@ from repro.core.service.wire import (
     TruncatedFrameError,
     WireProtocolError,
     WireVersionError,
+    decode_body,
+    encode_body,
     error_body,
+    join_fragments,
+    ok_reply,
+    ok_result,
     raise_wire_error,
+    read_body,
     read_frame,
+    split_fragments,
     write_frame,
 )
 from repro.util.errors import (
@@ -90,6 +99,14 @@ def _typed(exc: Exception, code: str) -> Exception:
     """Stamp an explicit wire code onto one exception instance."""
     exc.wire_code = code  # type: ignore[attr-defined]
     return exc
+
+
+class _Pending(NamedTuple):
+    """One request written to a worker channel, its reply not yet read."""
+
+    channel: socket.socket
+    request_id: int
+    op: str
 
 
 class WorkerHandle:
@@ -124,14 +141,23 @@ class WorkerHandle:
     ) -> dict[str, object]:
         """One wire round-trip to the worker; raises typed errors.
 
+        ``receive(send(...))``; ``timeout_s`` overrides the handle's
+        default per-request timeout (the supervisor uses a short one for
+        startup and heal probes).
+        """
+        return self.receive(self.send(op, payload, timeout_s=timeout_s))  # type: ignore[return-value]
+
+    def send(
+        self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
+    ) -> _Pending:
+        """Claim a channel and write one request on it; the reply is
+        read by :meth:`receive`, which must follow on every returned
+        pending request so the channel goes back to the pool.
+
         Transport faults (dead channel, short read, timeout) trip the
         breaker and surface as :class:`ServiceTransportError` — marked
         non-retryable for mutating ops, whose effect on the worker is
-        unknowable once the request left this process.  Typed error
-        frames from the worker re-raise as their registered classes.
-        ``timeout_s`` overrides the handle's default per-request
-        timeout (the supervisor uses a short one for startup and heal
-        probes).
+        unknowable once the request left this process.
         """
         effective = self.request_timeout_s if timeout_s is None else timeout_s
         if not self.breaker.allow():
@@ -144,41 +170,70 @@ class WorkerHandle:
             exc.retry_after_s = self.breaker.retry_after_s
             raise _typed(exc, "quarantine")
         channel = self._checkout_channel(effective)
-        request_id = next(self._seq)
+        pending = _Pending(channel, next(self._seq), op)
         try:
             channel.settimeout(effective)
             write_frame(
                 channel,
-                {"id": request_id, "op": op, "args": payload},
+                {"id": pending.request_id, "op": op, "args": payload},
                 max_frame=self.max_frame,
             )
-            response = read_frame(channel, max_frame=self.max_frame)
         except (OSError, WireProtocolError) as exc:
-            self.breaker.record_failure()
-            self._discard(channel)
-            raise ServiceTransportError(
-                f"channel to shard-group worker {self.index} failed during "
-                f"{op!r}: {exc}",
-                retryable=op not in MUTATING_OPS,
-            ) from exc
-        if response is None or response.get("id") != request_id:
-            self.breaker.record_failure()
-            self._discard(channel)
-            detail = (
-                "closed its channel" if response is None else "answered out of sequence"
-            )
-            raise ServiceTransportError(
-                f"shard-group worker {self.index} {detail} during {op!r}",
-                retryable=op not in MUTATING_OPS,
-            )
-        self._pool.put(channel)
+            raise self._channel_failed(pending, exc) from exc
+        return pending
+
+    def receive(
+        self, pending: _Pending, *, raw: bool = False
+    ) -> dict[str, object] | bytes:
+        """Read the reply to one :meth:`send`; raises typed errors.
+
+        ``raw=True`` returns an ok reply's ``result`` as the worker's
+        JSON bytes, for a front end that only passes it on.  Any other
+        reply is decoded: typed error frames from the worker re-raise as
+        their registered classes, and a closed channel or an
+        out-of-sequence id is a transport fault.
+        """
+        try:
+            body = read_body(pending.channel, max_frame=self.max_frame)
+        except (OSError, WireProtocolError) as exc:
+            raise self._channel_failed(pending, exc) from exc
+        result = None if body is None else ok_result(body, pending.request_id)
+        if result is None:
+            try:
+                response = None if body is None else decode_body(body)
+            except WireProtocolError as exc:
+                raise self._channel_failed(pending, exc) from exc
+            if response is None or response.get("id") != pending.request_id:
+                raise self._channel_failed(
+                    pending, None,
+                    "closed its channel" if response is None
+                    else "answered out of sequence",
+                )
+        self._pool.put(pending.channel)
         self.breaker.record_success()
+        if result is not None:
+            return result if raw else decode_body(result)
         if response.get("ok"):
-            result = response.get("result")
-            return result if isinstance(result, dict) else {}
+            decoded = response.get("result")
+            decoded = decoded if isinstance(decoded, dict) else {}
+            return encode_body(decoded) if raw else decoded
         error = response.get("error")
         raise_wire_error(error if isinstance(error, dict) else {})
         raise AssertionError("raise_wire_error always raises")  # pragma: no cover
+
+    def _channel_failed(
+        self, pending: _Pending, exc: Exception | None, detail: str = ""
+    ) -> ServiceTransportError:
+        """Trip the breaker, drop the channel, and build the error."""
+        self.breaker.record_failure()
+        self._discard(pending.channel)
+        what = (
+            f"channel to shard-group worker {self.index} failed during "
+            f"{pending.op!r}: {exc}"
+            if exc is not None
+            else f"shard-group worker {self.index} {detail} during {pending.op!r}"
+        )
+        return ServiceTransportError(what, retryable=pending.op not in MUTATING_OPS)
 
     def _checkout_channel(self, timeout_s: float) -> socket.socket:
         """Claim a free channel, failing *fast* once the process is gone.
@@ -327,6 +382,9 @@ class CrashLoopedHandle:
         exc.retry_after_s = self.retry_after_s
         raise _typed(exc, "crash_loop")
 
+    #: The router's scatter path fails just as fast.
+    send = call
+
     def handshake(self, *, deadline_s: float | None = None) -> None:
         """Crash-looped groups never hand-shake again."""
         self.call("hello", {})
@@ -392,8 +450,13 @@ class ShardRouter:
         return shard_index_for_key(f"{data['benchmark']}/{hostname}", self.num_shards)
 
     # -- dispatch ------------------------------------------------------
-    def call(self, op: str, payload: dict[str, object]) -> dict[str, object]:
-        """Route one operation payload; returns its result payload."""
+    def call(self, op: str, payload: dict[str, object]) -> dict[str, object] | bytes:
+        """Route one operation payload; returns its result payload.
+
+        Single-owner ops and ``fetch_many`` return the result as
+        encoded JSON bytes (relayed from the workers without a decode);
+        merged ops return a dict.
+        """
         try:
             return self._route(op, payload)
         except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
@@ -402,7 +465,7 @@ class ShardRouter:
                 "bad-request",
             ) from exc
 
-    def _route(self, op: str, payload: dict[str, object]) -> dict[str, object]:
+    def _route(self, op: str, payload: dict[str, object]) -> dict[str, object] | bytes:
         if op == "ping":
             return {}
         if op == "stats":
@@ -416,53 +479,79 @@ class ShardRouter:
             )
         if op == "save":
             owner = self._worker_of_shard(self._placement(payload["knowledge"]))  # type: ignore[arg-type]
-            return owner.call("save", payload)
+            return owner.receive(owner.send("save", payload), raw=True)
         if op == "save_many":
             return self._save_many(payload)
         if op == "fetch_many":
             return self._fetch_many(payload)
         if op in ("load", "delete"):
             owner = self._worker_of_shard(self._shard_of_id(payload["id"]))  # type: ignore[arg-type]
-            return owner.call(op, payload)
+            return owner.receive(owner.send(op, payload), raw=True)
         if op == "exists":
             try:
                 index = self._shard_of_id(payload["id"])  # type: ignore[arg-type]
             except (ServiceError, PersistenceError):
                 return {"exists": False}
-            return self._worker_of_shard(index).call("exists", payload)
+            owner = self._worker_of_shard(index)
+            return owner.receive(owner.send("exists", payload), raw=True)
+        results = self._gather([(worker, op, payload) for worker in self._snapshot()])
         if op in ("list_ids", "find_by_parameter"):
-            ids: list[int] = []
-            for worker in self._snapshot():
-                ids.extend(worker.call(op, payload)["ids"])  # type: ignore[arg-type]
-            ids.sort()
-            return {"ids": ids}
+            return {"ids": sorted(i for result in results for i in result["ids"])}  # type: ignore[union-attr]
         if op == "count":
-            return {
-                "count": sum(
-                    int(worker.call("count", payload)["count"])  # type: ignore[arg-type]
-                    for worker in self._snapshot()
-                )
-            }
+            return {"count": sum(int(result["count"]) for result in results)}  # type: ignore[index, arg-type]
         if op == "scan":
             # Each shard-group worker answers with mergeable partial
             # aggregate states for its shards; the group-wise merge is
             # associative, so router-then-client merging equals the
             # embedded single-service evaluation.
-            return {
-                "partials": merge_partial_payloads(
-                    worker.call("scan", payload)["partials"]  # type: ignore[arg-type]
-                    for worker in self._snapshot()
-                )
-            }
+            return {"partials": merge_partial_payloads(r["partials"] for r in results)}  # type: ignore[index]
         # load_all: every worker returns its owned objects, merged in
         # global-id order — exactly the embedded service's ordering.
-        objects: list[dict[str, object]] = []
-        for worker in self._snapshot():
-            objects.extend(worker.call("load_all", payload)["objects"])  # type: ignore[arg-type]
-        objects.sort(key=lambda obj: int(obj["id"]))  # type: ignore[arg-type]
+        objects = [obj for result in results for obj in result["objects"]]  # type: ignore[union-attr]
+        objects.sort(key=lambda obj: int(obj["id"]))  # type: ignore[index]
         return {"objects": objects}
 
+    @staticmethod
+    def _gather(
+        calls: "Sequence[tuple[WorkerHandle, str, dict[str, object]]]",
+        *,
+        raw: bool = False,
+    ) -> list:
+        """Send every ``(worker, op, payload)`` call, then read every reply.
+
+        Requests go out in ascending worker index: a gather holds one
+        channel per worker while it waits, and one acquisition order
+        keeps two concurrent gathers from deadlocking on the channel
+        pools.  Every request that was sent has its reply read (or its
+        channel discarded) before the first error is raised, so no
+        channel returns to a pool with an unread reply on it.  Results
+        come back in the order of ``calls``.
+        """
+        order = sorted(range(len(calls)), key=lambda i: calls[i][0].index)
+        sent: list[tuple[int, _Pending]] = []
+        send_error: Exception | None = None
+        for i in order:
+            worker, op, payload = calls[i]
+            try:
+                sent.append((i, worker.send(op, payload)))
+            except Exception as exc:  # noqa: BLE001 - raised after the gather
+                send_error = exc
+                break
+        results: list[object] = [None] * len(calls)
+        error: Exception | None = None
+        for i, pending in sent:
+            try:
+                results[i] = calls[i][0].receive(pending, raw=raw)
+            except Exception as exc:  # noqa: BLE001 - raised after the gather
+                error = error or exc
+        error = error or send_error
+        if error is not None:
+            raise error
+        return results
+
     def _save_many(self, payload: dict[str, object]) -> dict[str, object]:
+        # Sequential on purpose: a partial failure stops before the
+        # next group is written, which the exactly-once tests pin.
         objects = payload["objects"]  # type: ignore[index]
         groups = group_by_owner(
             objects,  # type: ignore[arg-type]
@@ -476,19 +565,25 @@ class ShardRouter:
                 ids[position] = int(global_id)
         return {"ids": ids}
 
-    def _fetch_many(self, payload: dict[str, object]) -> dict[str, object]:
+    def _fetch_many(self, payload: dict[str, object]) -> bytes:
+        # Workers answer in the fragment layout; the objects are put in
+        # the requested order (duplicates included) as bytes.
         wanted = [int(i) for i in payload["ids"]]  # type: ignore[union-attr]
         groups = group_by_owner(
             dict.fromkeys(wanted),
             lambda global_id: self._worker_of_shard(self._shard_of_id(global_id)).index,
         )
         workers = self._snapshot()
-        fetched: dict[int, object] = {}
-        for index, group in groups.items():
-            ids = [global_id for _, global_id in group]
-            result = workers[index].call("fetch_many", {"ids": ids})
-            fetched.update(zip(ids, result["objects"]))  # type: ignore[arg-type]
-        return {"objects": [fetched[i] for i in wanted]}
+        batches = [[global_id for _, global_id in group] for group in groups.values()]
+        replies = self._gather(
+            [(workers[index], "fetch_many", {"ids": ids})
+             for index, ids in zip(groups, batches)],
+            raw=True,
+        )
+        fragments: dict[int, bytes] = {}
+        for ids, reply in zip(batches, replies):
+            fragments.update(zip(ids, split_fragments(reply), strict=True))
+        return join_fragments([fragments[i] for i in wanted])
 
     def _merged_stats(self) -> dict[str, object]:
         workers = self._snapshot()
@@ -508,8 +603,9 @@ class ShardRouter:
             "cache_entries", "cache_hits", "cache_misses",
             "cache_evictions_stale", "cache_evictions_capacity",
         )
-        for worker in workers:
-            stats = worker.call("stats", {})["stats"]
+        replies = self._gather([(worker, "stats", {}) for worker in workers])
+        for worker, reply in zip(workers, replies):
+            stats = reply["stats"]
             for key in summed:
                 merged[key] += int(stats.get(key, 0))  # type: ignore[operator]
             merged["rows_per_shard"].update(stats.get("rows_per_shard", {}))  # type: ignore[union-attr]
@@ -1013,7 +1109,7 @@ class KnowledgeServer:
             except OSError:
                 pass
 
-    def _respond(self, request: dict[str, object]) -> dict[str, object]:
+    def _respond(self, request: dict[str, object]) -> dict[str, object] | bytes:
         request_id = request.get("id")
         op = str(request.get("op", ""))
         args = request.get("args")
@@ -1042,6 +1138,8 @@ class KnowledgeServer:
             self._observe_op(op, time.perf_counter() - start)
             return {"id": request_id, "ok": False, "error": error_body(exc)}
         self._observe_op(op, time.perf_counter() - start)
+        if isinstance(result, bytes):  # relayed worker result
+            return ok_reply(request_id, result)
         return {"id": request_id, "ok": True, "result": result}
 
     def _hello(self, payload: dict[str, object]) -> dict[str, object]:
@@ -1063,7 +1161,7 @@ class KnowledgeServer:
             "draining": self._draining,
         }
 
-    def _send(self, conn: socket.socket, body: dict[str, object]) -> bool:
+    def _send(self, conn: socket.socket, body: dict[str, object] | bytes) -> bool:
         try:
             sent = write_frame(conn, body, max_frame=self.max_frame)
         except (OSError, WireProtocolError):

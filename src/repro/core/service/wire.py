@@ -26,6 +26,13 @@ code names an exception class on the registry below, so a
 :class:`~repro.util.errors.ServiceOverloadError` shed by a remote
 worker re-raises as exactly that class in the client, with its
 ``transient`` flag carried across the wire.
+
+This module is also the one place that knows the byte layout of an ok
+reply (:func:`ok_reply`/:func:`ok_result`) and of a batch result split
+into per-object fragments (:func:`fragment_result`,
+:func:`split_fragments`, :func:`join_fragments`): the server's front
+end relays worker results as bytes through these helpers instead of
+decoding and encoding them again.
 """
 
 from __future__ import annotations
@@ -53,9 +60,17 @@ __all__ = [
     "HEADER",
     "TruncatedFrameError",
     "WireVersionError",
+    "encode_body",
     "encode_frame",
+    "read_body",
+    "decode_body",
     "read_frame",
     "write_frame",
+    "ok_reply",
+    "ok_result",
+    "fragment_result",
+    "split_fragments",
+    "join_fragments",
     "error_body",
     "error_code",
     "raise_wire_error",
@@ -184,14 +199,23 @@ def raise_wire_error(error: dict[str, object]) -> None:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def encode_body(body: object) -> bytes:
+    """The compact UTF-8 JSON encoding every frame body uses."""
+    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
 def encode_frame(
-    body: dict[str, object],
+    body: dict[str, object] | bytes,
     *,
     version: int = WIRE_VERSION,
     max_frame: int = MAX_FRAME_BYTES,
 ) -> bytes:
-    """Serialize one frame (header + JSON body) to bytes."""
-    payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+    """Serialize one frame (header + JSON body) to bytes.
+
+    A ``bytes`` body is taken as already-encoded JSON (a relayed or
+    pre-assembled reply) and only framed.
+    """
+    payload = body if isinstance(body, bytes) else encode_body(body)
     if len(payload) > max_frame:
         raise WireProtocolError(
             f"frame body of {len(payload)} bytes exceeds the "
@@ -225,14 +249,16 @@ def _read_exact(sock: socket.socket, n: int, *, first: bool) -> bytes | None:
     return b"".join(chunks)
 
 
-def read_frame(
+def read_body(
     sock: socket.socket,
     *,
     max_frame: int = MAX_FRAME_BYTES,
     on_bytes=None,
-) -> dict[str, object] | None:
-    """Read one frame; ``None`` means the peer closed at a frame boundary.
+) -> bytes | None:
+    """Read one frame's raw JSON body; ``None`` means a clean close.
 
+    The header's magic, version and length cap are checked here — the
+    one header parser — and the body is returned undecoded.
     ``on_bytes(n)``, when given, is called with the frame's total size
     once it has been read — the hook the server's ``service.transport``
     byte counters hang off.
@@ -260,6 +286,11 @@ def read_frame(
     body = _read_exact(sock, length, first=False)
     if on_bytes is not None:
         on_bytes(HEADER.size + length)
+    return body
+
+
+def decode_body(body: bytes) -> dict[str, object]:
+    """Decode one frame body, which must be a JSON object."""
     try:
         decoded = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -271,9 +302,23 @@ def read_frame(
     return decoded
 
 
+def read_frame(
+    sock: socket.socket,
+    *,
+    max_frame: int = MAX_FRAME_BYTES,
+    on_bytes=None,
+) -> dict[str, object] | None:
+    """Read and decode one frame; ``None`` means a clean close.
+
+    :func:`read_body` followed by :func:`decode_body`.
+    """
+    body = read_body(sock, max_frame=max_frame, on_bytes=on_bytes)
+    return None if body is None else decode_body(body)
+
+
 def write_frame(
     sock: socket.socket,
-    body: dict[str, object],
+    body: dict[str, object] | bytes,
     *,
     version: int = WIRE_VERSION,
     max_frame: int = MAX_FRAME_BYTES,
@@ -282,3 +327,70 @@ def write_frame(
     data = encode_frame(body, version=version, max_frame=max_frame)
     sock.sendall(data)
     return len(data)
+
+
+# ----------------------------------------------------------------------
+# ok-reply byte layout: relayed without a decode/encode round trip
+# ----------------------------------------------------------------------
+def _ok_prefix(request_id: object) -> bytes:
+    return b'{"id":' + encode_body(request_id) + b',"ok":true,"result":'
+
+
+def ok_reply(request_id: object, result: bytes) -> bytes:
+    """The body of an ok reply around an already-encoded ``result``.
+
+    Byte-identical to :func:`encode_body` of ``{"id", "ok": true,
+    "result"}``, so a front end can answer a client with a worker's
+    result bytes under the client's own request id.
+    """
+    return _ok_prefix(request_id) + result + b"}"
+
+
+def ok_result(body: bytes, request_id: object) -> bytes | None:
+    """The raw ``result`` bytes of an ok reply to ``request_id``.
+
+    ``None`` when the body is anything else — an error frame or a reply
+    to another request id — which the caller decodes as a whole.
+    """
+    prefix = _ok_prefix(request_id)
+    if body.startswith(prefix) and body.endswith(b"}"):
+        return body[len(prefix):-1]
+    return None
+
+
+# Batch results (``fetch_many``) put one compact-encoded object per
+# fragment, separated by ",\n": compact JSON never holds a raw newline,
+# so the split is unambiguous whatever the objects' strings contain.
+_OBJECTS_HEAD = b'{"objects":['
+_OBJECTS_TAIL = b"]}"
+_FRAGMENT_SEP = b",\n"
+
+
+def fragment_result(objects: list[object]) -> bytes:
+    """Encode an ``{"objects": [...]}`` result in the fragment layout.
+
+    It decodes to the same payload as :func:`encode_body` (the
+    separators are JSON whitespace), but :func:`split_fragments` can cut
+    it into per-object byte strings without decoding anything.
+    """
+    return (
+        _OBJECTS_HEAD
+        + _FRAGMENT_SEP.join(encode_body(obj) for obj in objects)
+        + _OBJECTS_TAIL
+    )
+
+
+def split_fragments(result: bytes) -> list[bytes]:
+    """Cut a :func:`fragment_result` into its per-object encodings."""
+    if not (result.startswith(_OBJECTS_HEAD) and result.endswith(_OBJECTS_TAIL)):
+        raise WireProtocolError("batch result is not in the fragment layout")
+    inner = result[len(_OBJECTS_HEAD):-len(_OBJECTS_TAIL)]
+    return inner.split(_FRAGMENT_SEP) if inner else []
+
+
+def join_fragments(fragments: list[bytes]) -> bytes:
+    """Join object encodings into a compact ``{"objects": [...]}`` result.
+
+    Byte-identical to :func:`encode_body` of the decoded objects.
+    """
+    return _OBJECTS_HEAD + b",".join(fragments) + _OBJECTS_TAIL

@@ -39,7 +39,10 @@ from repro.core.service.wire import (
     PROTOCOL,
     TruncatedFrameError,
     WireProtocolError,
+    encode_body,
     error_body,
+    fragment_result,
+    ok_reply,
     read_frame,
     write_frame,
 )
@@ -97,10 +100,18 @@ def serve_channel(
             else:
                 payload = args if isinstance(args, dict) else {}
                 result = dispatcher.call(op, payload)
+            # fetch_many answers in the fragment layout, so the front end
+            # can reorder the objects without decoding them.
+            encoded = (
+                fragment_result(result["objects"])  # type: ignore[arg-type]
+                if op == "fetch_many" else encode_body(result)
+            )
         except Exception as exc:  # noqa: BLE001 - typed error frame, never die
-            response = {"id": request_id, "ok": False, "error": error_body(exc)}
+            response: dict[str, object] | bytes = {
+                "id": request_id, "ok": False, "error": error_body(exc),
+            }
         else:
-            response = {"id": request_id, "ok": True, "result": result}
+            response = ok_reply(request_id, encoded)
         try:
             write_frame(sock, response, max_frame=max_frame)
         except (OSError, WireProtocolError):

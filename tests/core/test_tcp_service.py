@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.knowledge import Knowledge, KnowledgeResult, KnowledgeSummary
 from repro.core.metrics import MetricsRegistry
+from repro.core.persistence.scan import ScanQuery
 from repro.core.resilience import RetryPolicy
 from repro.core.service.client import ServiceClient, parse_tcp_url
 from repro.core.service.server import KnowledgeServer
@@ -330,6 +331,104 @@ class TestLifecycle:
                 client.load(k.knowledge_id)
             assert excinfo.value.wire_code in ("quarantine", "unavailable")
             assert time.monotonic() - start < 60.0
+
+
+class TestScatterGather:
+    """Multi-worker reads send to every owning worker before reading
+    any reply; these pin the two rules that make that safe."""
+
+    def test_mixed_order_gathers_on_one_channel_do_not_deadlock(self, tmp_path):
+        """One channel per worker and ids naming the workers in both
+        orders: a gather that sent in first-seen order would hold one
+        worker's only channel while waiting for the other's, and two
+        such threads would stall until the channel timeout."""
+        timeout_s = 20.0
+        server = KnowledgeServer(
+            tmp_path / "store", shards=2, worker_processes=2,
+            channels_per_worker=1, request_timeout_s=timeout_s,
+        )
+        server.start()
+        try:
+            url = _url(server)
+            with ServiceClient.open(url) as client:
+                ids = client.save_many(
+                    [make_knowledge(m, host=f"n{m}") for m in range(8)]
+                )
+                expected_scan = client.scan(ScanQuery(group_by=("operation",)))
+            by_shard: dict[int, list[int]] = {}
+            for gid in ids:
+                by_shard.setdefault(decode_knowledge_id(gid)[1], []).append(gid)
+            assert set(by_shard) == {0, 1}
+            markers = dict(zip(ids, range(8)))
+            errors: list[BaseException] = []
+            lock = threading.Lock()
+
+            def reader(thread_id: int) -> None:
+                first, second = (0, 1) if thread_id % 2 else (1, 0)
+                wanted = by_shard[first] + by_shard[second]
+                try:
+                    with ServiceClient.open(url, timeout_s=2 * timeout_s) as client:
+                        for _ in range(25):
+                            fetched = client.fetch_many(wanted)
+                            assert [k.parameters["marker"] for k in fetched] == [
+                                markers[gid] for gid in wanted
+                            ]
+                            assert client.scan(
+                                ScanQuery(group_by=("operation",))
+                            ) == expected_scan
+                except BaseException as exc:  # noqa: BLE001 - collected for assert
+                    with lock:
+                        errors.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(t,)) for t in range(6)]
+            start = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=3 * timeout_s)
+            elapsed = time.monotonic() - start
+            assert not errors, errors
+            assert not any(t.is_alive() for t in threads)
+            assert elapsed < timeout_s / 2, f"gathers took {elapsed:.1f}s"
+        finally:
+            server.close()
+
+    def test_partial_failure_raises_typed_and_frees_the_survivor(self, tmp_path):
+        """SIGKILL one worker: gathers spanning both fail with a typed
+        retryable error, the survivor's channels all go back to its
+        pool, and a request to the survivor alone is served at once."""
+        server = KnowledgeServer(
+            tmp_path / "store", shards=2, worker_processes=2,
+            request_timeout_s=15.0, supervise=False,
+        )
+        server.start()
+        policy = RetryPolicy(max_attempts=1, base_delay_s=0.001,
+                             retryable=lambda exc: False)
+        try:
+            with ServiceClient.open(_url(server), retry_policy=policy) as client:
+                ids = client.save_many(
+                    [make_knowledge(m, host=f"n{m}") for m in range(8)]
+                )
+                survivor_ids = [g for g in ids if decode_knowledge_id(g)[1] == 0]
+                assert survivor_ids and len(survivor_ids) < len(ids)
+                victim = server.workers[1].process
+                victim.kill()
+                victim.wait()
+                for attempt in (
+                    lambda: client.fetch_many(ids),
+                    lambda: client.scan(ScanQuery()),
+                ):
+                    with pytest.raises(ServiceTransportError) as excinfo:
+                        attempt()
+                    assert excinfo.value.transient
+                survivor = server.workers[0]
+                assert survivor._pool.qsize() == survivor.channel_count
+                start = time.monotonic()
+                fetched = client.fetch_many(survivor_ids)
+                assert [k.knowledge_id for k in fetched] == survivor_ids
+                assert time.monotonic() - start < 1.0
+        finally:
+            server.close()
 
 
 def _spawn_serve(tmp_path, *extra):

@@ -7,13 +7,18 @@ architecture doc: a typed error frame or a clean close, never a dead
 worker, and the very next well-formed request succeeds.
 """
 
+import json
 import socket
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.metrics import MetricsRegistry
+from repro.core.service.client import ServiceClient
 from repro.core.service.server import KnowledgeServer
+from repro.core.service.shard import decode_knowledge_id, encode_knowledge_id
 from repro.core.service.wire import (
     HEADER,
     MAGIC,
@@ -21,11 +26,19 @@ from repro.core.service.wire import (
     WIRE_VERSION,
     TruncatedFrameError,
     WireVersionError,
+    decode_body,
+    encode_body,
     encode_frame,
     error_body,
     error_code,
+    fragment_result,
+    join_fragments,
+    ok_reply,
+    ok_result,
     raise_wire_error,
+    read_body,
     read_frame,
+    split_fragments,
     write_frame,
 )
 from repro.util.errors import (
@@ -36,6 +49,7 @@ from repro.util.errors import (
     ServiceTransportError,
     WireProtocolError,
 )
+from tests.core.test_tcp_service import make_knowledge
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +160,77 @@ class TestErrorRegistry:
 
         with pytest.raises(ServiceError):  # unknown code -> base class
             raise_wire_error({"code": "from-the-future", "message": "?"})
+
+
+# ----------------------------------------------------------------------
+# ok-reply and fetch_many fragment byte layouts
+# ----------------------------------------------------------------------
+def _compact(body) -> bytes:
+    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+#: Strings built from the pieces most likely to confuse a byte-level
+#: splitter: the fragment separator, newlines, the object prefix,
+#: quotes, backslashes and non-ASCII text.
+_tricky_text = st.lists(
+    st.sampled_from(
+        ["\n", ",\n", ",", '{"data":', '"', "\\", "]}", "é", "ß", "日本", "\u2028", "x"]
+    )
+    | st.text(max_size=4),
+    max_size=6,
+).map("".join)
+
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _tricky_text
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_tricky_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+_knowledge_dicts = st.builds(
+    lambda data, gid: {"data": data, "id": gid},
+    st.dictionaries(_tricky_text, _values, max_size=5),
+    st.integers(min_value=0, max_value=2**62),
+)
+
+
+class TestReplyLayout:
+    @given(st.lists(_knowledge_dicts, max_size=6))
+    def test_fragments_split_and_join_to_compact_json(self, objects):
+        result = fragment_result(objects)
+        assert decode_body(result) == {"objects": objects}
+        fragments = split_fragments(result)
+        assert fragments == [_compact(obj) for obj in objects]
+        assert join_fragments(fragments) == _compact({"objects": objects})
+
+    @given(st.lists(_knowledge_dicts, min_size=1, max_size=4), st.data())
+    def test_reordered_fragments_equal_compact_json(self, objects, data):
+        order = data.draw(
+            st.lists(st.integers(0, len(objects) - 1), max_size=8)
+        )  # duplicates included, as fetch_many allows
+        fragments = split_fragments(fragment_result(objects))
+        assert join_fragments([fragments[i] for i in order]) == _compact(
+            {"objects": [objects[i] for i in order]}
+        )
+
+    @given(st.integers() | _tricky_text | st.none(), _values)
+    def test_ok_reply_is_the_compact_response(self, request_id, result):
+        encoded = _compact(result)
+        body = ok_reply(request_id, encoded)
+        assert body == _compact({"id": request_id, "ok": True, "result": result})
+        assert ok_result(body, request_id) == encoded
+
+    def test_other_replies_do_not_match_the_ok_layout(self):
+        assert ok_result(_compact({"id": 7, "ok": True, "result": {}}), 8) is None
+        error = {"id": 7, "ok": False, "error": {"code": "service"}}
+        assert ok_result(_compact(error), 7) is None
+        assert ok_result(encode_body({"ok": True, "id": 7, "result": {}}), 7) is None
+
+    def test_split_rejects_another_layout(self):
+        with pytest.raises(WireProtocolError):
+            split_fragments(_compact({"ids": [1, 2]}))
+        assert split_fragments(fragment_result([])) == []
 
 
 # ----------------------------------------------------------------------
@@ -279,3 +364,48 @@ class TestMalformedInputHardening:
                 except (WireProtocolError, OSError):
                     pass
         _assert_server_healthy(server)
+
+
+class TestRelayedClientFrames:
+    def test_client_frames_equal_the_compact_encoding(self, server):
+        """Relayed and reassembled replies are byte-for-byte what
+        encoding the decoded response gives: no whitespace from the
+        fragment layout leaks to a client."""
+        objs = [make_knowledge(m, host=f"n{m}") for m in range(6)]
+        for k in objs:
+            k.parameters["note"] = 'a,\nb "q" {"data": 日本'
+        with ServiceClient.open(
+            f"knowledge+tcp://{server.host}:{server.port}/"
+        ) as client:
+            ids = client.save_many(objs)
+        by_shard: dict[int, list[int]] = {}
+        for gid in ids:
+            by_shard.setdefault(decode_knowledge_id(gid)[1], []).append(gid)
+        assert set(by_shard) == {0, 1}  # two shards, one per worker
+        missing = encode_knowledge_id(999_999, 0)
+        requests = [
+            ("load", {"id": ids[0]}, True),
+            ("fetch_many", {"ids": [ids[3], ids[0], ids[3], ids[1]]}, True),
+            ("fetch_many", {"ids": by_shard[1] + by_shard[1][:1]}, True),
+            ("fetch_many", {"ids": []}, True),
+            ("exists", {"id": ids[2]}, True),
+            ("load", {"id": missing}, False),
+            ("fetch_many", {"ids": [ids[0], missing]}, False),
+        ]
+        with _connect(server) as sock:
+            for request_id, (op, args, ok) in enumerate(requests, start=1):
+                write_frame(sock, {"id": request_id, "op": op, "args": args})
+                body = read_body(sock)
+                frame = HEADER.pack(MAGIC, WIRE_VERSION, len(body)) + body
+                response = decode_body(body)
+                assert encode_frame(response) == frame, op
+                assert response["id"] == request_id
+                assert response["ok"] is ok, response
+                if ok and op == "fetch_many":
+                    got = [obj["id"] for obj in response["result"]["objects"]]
+                    assert got == args["ids"]
+                    notes = {
+                        obj["data"]["parameters"]["note"]
+                        for obj in response["result"]["objects"]
+                    }
+                    assert notes <= {'a,\nb "q" {"data": 日本'}
