@@ -121,7 +121,6 @@ class _DatabaseSink:
             self.repository.delete(knowledge_id)
 
     def close(self) -> None:
-        self._backend.flush()
         self._db.close()
 
 

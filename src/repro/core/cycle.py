@@ -477,8 +477,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         print(f"[timing] {t.phase}: {t.duration_s:.3f}s "
                               f"({t.artifacts} artifact(s), "
                               f"{t.attempts} attempt(s))")
-            if isinstance(backend, ResilientBackend):
-                backend.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,21 +12,20 @@ per-object commits into a single transaction — the write path for
 ingesting large corpora such as the public IO500 submission data.
 :class:`ResilientBackend` wraps any backend with retry/backoff against
 transient driver errors ("database is locked") and a circuit breaker
-that degrades into a read-only mode buffering unsaved writes for a
-later flush — so one wedged database never loses a revolution's
-knowledge.
+that fails writes fast with a typed transient error once the database
+is wedged, while reads keep passing through — the caller re-runs the
+whole operation, so no write is ever half-saved or saved twice.
 """
 
 from __future__ import annotations
 
-import re
 import sqlite3
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.core.resilience import CircuitBreaker, RetryPolicy, retry
-from repro.util.errors import PersistenceError
+from repro.util.errors import PersistenceError, PersistenceUnavailableError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
     from repro.core.metrics import MetricsRegistry
@@ -137,7 +136,7 @@ class BatchedBackend:
 
 
 # ----------------------------------------------------------------------
-# resilient wrapper: retry, circuit breaker, degraded write buffering
+# resilient wrapper: retry and circuit breaker, failing writes fast
 # ----------------------------------------------------------------------
 _TRANSIENT_DB_MARKERS = ("database is locked", "database table is locked", "busy", "disk i/o error")
 
@@ -160,40 +159,27 @@ def transient_db_error(exc: BaseException) -> bool:
 
 
 _WRITE_VERBS = frozenset({"insert", "update", "delete", "replace", "create", "drop", "alter"})
-_INSERT_TABLE_RE = re.compile(r"insert\s+(?:or\s+\w+\s+)?into\s+([A-Za-z_]\w*)", re.IGNORECASE)
-
-
-class _BufferedCursor:
-    """Stand-in cursor returned for a write deferred in degraded mode."""
-
-    def __init__(self, lastrowid: int | None) -> None:
-        self.lastrowid = lastrowid
-        self.rowcount = -1
-
-    def fetchone(self):
-        raise PersistenceError("statement was buffered (degraded mode); nothing to fetch")
-
-    def fetchall(self):
-        raise PersistenceError("statement was buffered (degraded mode); nothing to fetch")
 
 
 class ResilientBackend:
     """Retry + circuit-breaker wrapper around any persistence backend.
 
     Transient driver errors (``transient_db_error``) are retried under
-    a deterministic :class:`RetryPolicy`.  A write that still fails —
-    or arrives while the breaker is OPEN — is *buffered* instead of
-    raised: the backend degrades to read-only, knowledge keeps
-    accumulating in order, and :meth:`flush` (called automatically by
-    the half-open probe and by ``close()``) replays the buffer once the
-    database heals.  Reads always pass straight through.
+    a deterministic :class:`RetryPolicy`.  Reads always pass straight
+    through, even while the breaker is OPEN.  A write or commit that the
+    OPEN breaker refuses, or that is still transient after its last
+    retry, raises :class:`~repro.util.errors.PersistenceUnavailableError`
+    (transient, with the breaker's remaining window as
+    ``retry_after_s``).  Nothing is buffered: a write that raised was
+    not saved, and the caller re-runs the whole operation — the
+    pipeline's ``FailurePolicy``, a campaign requeue under the job's
+    idempotency token, or a client retry.
 
-    Buffered ``INSERT`` statements are handed predicted ``lastrowid``
-    values (continuing the table's rowid sequence) so repositories can
-    keep wiring up child rows; the replay verifies every prediction and
-    fails loudly on a mismatch.  This is sound under this backend's
-    single-writer assumption — the same assumption SQLite itself makes
-    of the local knowledge base.
+    A write that raises outside :meth:`transaction` first rolls back
+    the connection's uncommitted writes, so a ``save()`` cut off after
+    its ``performances`` row cannot be committed as an orphan by the
+    next ``commit()``.  Inside :meth:`transaction`, the transaction's
+    own rollback does the same.
     """
 
     def __init__(
@@ -214,58 +200,12 @@ class ResilientBackend:
             failure_threshold=3, reset_timeout_s=1.0, metrics=metrics, name="persistence"
         )
         self._sleep = sleep
-        self._buffer: list[tuple] = []  # ("stmt", sql, params, predicted) | ("many", ...) | ("commit",)
-        self._next_rowid: dict[str, int] = {}
-        self._deferred_commit = False
-
-    # -- state ---------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """Whether writes are currently buffered instead of executed.
-
-        A pure peek: never claims the breaker's half-open probe slot.
-        """
-        return (
-            bool(self._buffer)
-            or self._deferred_commit
-            or self.breaker.state == CircuitBreaker.OPEN
-        )
-
-    @property
-    def buffered_statements(self) -> int:
-        """Writes waiting in the degraded-mode buffer."""
-        return sum(1 for entry in self._buffer if entry[0] != "commit")
+        self._txn_depth = 0
 
     @staticmethod
     def _is_write(sql: str) -> bool:
         head = sql.lstrip().split(None, 1)
         return bool(head) and head[0].lower() in _WRITE_VERBS
-
-    def _predict_rowid(self, sql: str) -> int | None:
-        m = _INSERT_TABLE_RE.match(sql.lstrip())
-        if m is None:
-            return None
-        table = m.group(1).lower()
-        if table not in self._next_rowid:
-            # Seed from the live table; reads still work in degraded mode.
-            try:
-                row = self.backend.execute(
-                    f"SELECT COALESCE(MAX(rowid), 0) AS m FROM {m.group(1)}"
-                ).fetchone()
-                self._next_rowid[table] = int(row["m"] if hasattr(row, "keys") else row[0]) + 1
-            except Exception as exc:
-                raise PersistenceError(
-                    f"cannot buffer INSERT into {table!r}: rowid sequence "
-                    f"unavailable while degraded ({exc})"
-                ) from exc
-        predicted = self._next_rowid[table]
-        self._next_rowid[table] = predicted + 1
-        return predicted
-
-    def _note_real_insert(self, sql: str, cursor) -> None:
-        m = _INSERT_TABLE_RE.match(sql.lstrip())
-        if m is not None and getattr(cursor, "lastrowid", None):
-            self._next_rowid[m.group(1).lower()] = cursor.lastrowid + 1
 
     def _run(self, fn):
         """One backend call under the retry policy."""
@@ -286,211 +226,100 @@ class ResilientBackend:
                 "persistence.rows_written_total", "rows written through the backend"
             ).inc(rows)
 
-    def _note_buffer_depth(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "persistence.degraded_buffer_depth",
-                "writes waiting in the degraded-mode buffer",
-            ).set(self.buffered_statements)
-
-    # -- write path ----------------------------------------------------
-    def execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
-        """Run one statement; transient write failures degrade to the buffer."""
-        if not self._is_write(sql):
-            cursor = self._run(lambda: self.backend.execute(sql, params))
-            self._count_stmt("read", "ok")
-            return cursor
+    def _guarded(self, kind: str, fn):
+        """Run one write or commit behind the breaker; fail fast when wedged."""
         if not self.breaker.allow():
-            return self._buffer_stmt(sql, params)
-        if self._buffer or self._deferred_commit:
-            # Half-open probe: the buffer must replay first to keep order.
-            try:
-                self._replay()
-            except Exception as exc:
-                self.breaker.record_failure()
-                if not transient_db_error(exc):
-                    raise
-                return self._buffer_stmt(sql, params)
+            self._count_stmt(kind, "refused")
+            self._abandon()
+            raise self._unavailable(f"{kind} refused, circuit breaker open")
         try:
-            cursor = self._run(lambda: self.backend.execute(sql, params))
+            result = self._run(fn)
         except Exception as exc:
             # Success or failure must be reported either way: the
             # half-open probe slot is held until the breaker hears back.
             self.breaker.record_failure()
-            self._count_stmt("write", "failed")
-            if not transient_db_error(exc):
-                raise
-            return self._buffer_stmt(sql, params)
+            self._count_stmt(kind, "failed")
+            self._abandon()
+            if transient_db_error(exc):
+                raise self._unavailable(f"{kind} failed ({exc})") from exc
+            raise
         self.breaker.record_success()
-        self._note_real_insert(sql, cursor)
+        return result
+
+    def _abandon(self) -> None:
+        """Roll back a cut-off write (a transaction rolls back its own)."""
+        if not self._txn_depth:
+            self.backend.rollback()
+
+    def _unavailable(self, why: str) -> PersistenceUnavailableError:
+        return PersistenceUnavailableError(
+            f"knowledge database unavailable: {why}",
+            retry_after_s=self.breaker.retry_after_s,
+        )
+
+    # -- write path ----------------------------------------------------
+    def execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
+        """Run one statement; a write goes through the breaker."""
+        if not self._is_write(sql):
+            cursor = self._run(lambda: self.backend.execute(sql, params))
+            self._count_stmt("read", "ok")
+            return cursor
+        cursor = self._guarded("write", lambda: self.backend.execute(sql, params))
         self._count_stmt("write", "ok", rows=max(getattr(cursor, "rowcount", 0), 0) or 1)
         return cursor
 
     def executemany(self, sql: str, seq_of_params: Iterable[Sequence]) -> sqlite3.Cursor:
-        """Run one statement over many rows, degrading like :meth:`execute`."""
+        """Run one statement over many rows through the breaker."""
         rows = [tuple(p) for p in seq_of_params]
-        if not self.breaker.allow():
-            self._buffer.append(("many", sql, rows))
-            self._count_stmt("write", "buffered")
-            self._note_buffer_depth()
-            return _BufferedCursor(None)
-        try:
-            if self._buffer or self._deferred_commit:
-                self._replay()
-            cursor = self._run(lambda: self.backend.executemany(sql, rows))
-        except Exception as exc:
-            self.breaker.record_failure()
-            self._count_stmt("write", "failed")
-            if not transient_db_error(exc):
-                raise
-            self._buffer.append(("many", sql, rows))
-            self._note_buffer_depth()
-            return _BufferedCursor(None)
-        self.breaker.record_success()
-        # A batch INSERT advances the table's rowid sequence by an
-        # amount the cursor does not report reliably; drop the cached
-        # prediction base so the next degraded buffering re-seeds from
-        # the live table instead of predicting stale rowids.
-        m = _INSERT_TABLE_RE.match(sql.lstrip())
-        if m is not None:
-            self._next_rowid.pop(m.group(1).lower(), None)
+        cursor = self._guarded("write", lambda: self.backend.executemany(sql, rows))
         self._count_stmt("write", "ok", rows=len(rows))
         return cursor
 
-    def _buffer_stmt(self, sql: str, params: tuple) -> _BufferedCursor:
-        predicted = self._predict_rowid(sql)
-        self._buffer.append(("stmt", sql, tuple(params), predicted))
-        self._count_stmt("write", "buffered")
-        self._note_buffer_depth()
-        return _BufferedCursor(predicted)
-
-    def _count_event(self, name: str, help_: str, outcome: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, help_, outcome=outcome).inc()
-
-    def _replay(self) -> None:
-        """Re-execute the buffered writes in order against the backend."""
-        try:
-            while self._buffer:
-                entry = self._buffer[0]
-                if entry[0] == "commit":
-                    self._run(self.backend.commit)
-                elif entry[0] == "many":
-                    self._run(lambda e=entry: self.backend.executemany(e[1], e[2]))
-                    self._count_stmt("write", "replayed", rows=len(entry[2]))
-                else:
-                    _, sql, params, predicted = entry
-                    cursor = self._run(lambda: self.backend.execute(sql, params))
-                    if predicted is not None and cursor.lastrowid != predicted:
-                        self.backend.rollback()
-                        raise PersistenceError(
-                            f"degraded-mode replay drifted: expected rowid {predicted}, "
-                            f"database assigned {cursor.lastrowid} — was the database "
-                            "written by another client while degraded?"
-                        )
-                    self._count_stmt(
-                        "write", "replayed",
-                        rows=max(getattr(cursor, "rowcount", 0), 0) or 1,
-                    )
-                self._buffer.pop(0)
-            if self._deferred_commit:
-                self._run(self.backend.commit)
-                self._deferred_commit = False
-        except Exception:
-            self._count_event(
-                "persistence.replays_total", "degraded-buffer replay attempts", "failed"
-            )
-            self._note_buffer_depth()
-            raise
-        self.breaker.record_success()
-        self._count_event(
-            "persistence.replays_total", "degraded-buffer replay attempts", "ok"
-        )
-        self._note_buffer_depth()
-
-    def flush(self) -> None:
-        """Replay any buffered writes and make them durable."""
-        if not self._buffer and not self._deferred_commit:
-            return
-        try:
-            self._replay()
-            self._run(self.backend.commit)
-        except Exception as exc:
-            self._count_event("persistence.flushes_total", "degraded-buffer flushes", "failed")
-            if transient_db_error(exc):
-                self.breaker.record_failure()
-                raise PersistenceError(
-                    f"cannot flush degraded buffer ({self.buffered_statements} "
-                    f"statement(s) still unsaved): {exc}"
-                ) from exc
-            raise
-        self._count_event("persistence.flushes_total", "degraded-buffer flushes", "ok")
-
     def commit(self) -> None:
-        """Commit, deferring durability while degraded."""
-        if self._buffer or not self.breaker.allow():
-            self._buffer.append(("commit",))
+        """Commit through the breaker (deferred inside a :meth:`transaction`)."""
+        if self._txn_depth:
             return
-        try:
-            self._run(self.backend.commit)
-        except Exception as exc:
-            if not transient_db_error(exc):
-                self.breaker.record_failure()
-                raise
-            self.breaker.record_failure()
-            self._deferred_commit = True
-            return
-        self.breaker.record_success()
+        self._guarded("commit", self.backend.commit)
+        self._count_stmt("commit", "ok")
 
     def rollback(self) -> None:
-        """Discard writes since the last commit, buffered ones included.
-
-        State is only *peeked* here: rollback is housekeeping, not a
-        half-open probe, so it must not claim the probe slot.
-        """
-        while self._buffer and self._buffer[-1][0] != "commit":
-            self._buffer.pop()
-        self._note_buffer_depth()
-        if self.breaker.state != CircuitBreaker.OPEN:
-            self.backend.rollback()
+        """Discard uncommitted writes."""
+        self.backend.rollback()
 
     @contextmanager
     def transaction(self):
-        """Group writes atomically; a degraded group stays in the buffer."""
-        if self.breaker.state == CircuitBreaker.OPEN:
-            mark = len(self._buffer)
-            try:
-                yield self
-            except BaseException:
-                del self._buffer[mark:]
-                raise
-            else:
-                self._buffer.append(("commit",))
-        else:
-            with self.backend.transaction():
-                yield self
+        """Group writes into one atomic transaction.
+
+        Inner ``commit()`` calls are deferred until the outermost block
+        exits cleanly; its commit then runs through the breaker and the
+        retry policy like any other, so a commit the database keeps
+        refusing rolls the whole group back and raises the typed error.
+        Any exception inside the block rolls the group back.
+        """
+        self._txn_depth += 1
+        try:
+            yield self
+        except BaseException:
+            self._txn_depth -= 1
+            if not self._txn_depth:
+                self.backend.rollback()
+            raise
+        self._txn_depth -= 1
+        self.commit()
 
     def close(self) -> None:
-        """Flush the degraded buffer, then close the wrapped backend.
-
-        Raises :class:`PersistenceError` (keeping the backend open and
-        the buffer intact) if the flush still cannot reach the
-        database, so no buffered knowledge is silently dropped.
-        """
-        self.flush()
+        """Close the wrapped backend; there is nothing left to write."""
         self.backend.close()
 
     # -- read path -----------------------------------------------------
     def table_count(self, table: str) -> int:
-        """Row count of one table (buffered writes are not yet visible)."""
+        """Row count of one table."""
         return self.backend.table_count(table)
 
     def __enter__(self) -> "ResilientBackend":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
+        if exc_type is not None:
             self.rollback()
-            self.backend.close()
+        self.close()

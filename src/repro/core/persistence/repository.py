@@ -111,18 +111,11 @@ class KnowledgeRepository:
         and each table receives one ``executemany`` for the whole batch
         instead of one ``INSERT`` round-trip per row.  The agg upsert
         stays inside the same transaction, so ``agg_summaries`` cannot
-        drift from the base tables.  A degraded
-        :class:`~repro.core.persistence.backend.ResilientBackend`
-        falls back to the row-at-a-time path: its buffered-write rowid
-        predictions are per statement, which explicit precomputed ids
-        would bypass.
+        drift from the base tables.
         """
         knowledge = list(knowledge)
         if not knowledge:
             return []
-        if getattr(self.db, "degraded", False):
-            with self.db.transaction():
-                return [self.save(k) for k in knowledge]
         with self.db.transaction():
             ids = self._save_batch(knowledge)
         for k, perf_id in zip(knowledge, ids):
@@ -380,10 +373,7 @@ class KnowledgeRepository:
         """Fold one knowledge object into the pre-aggregated summaries.
 
         Runs inside the same transaction as :meth:`save`, so the agg
-        table can never drift from the base tables — and because the
-        upsert is one plain SQL statement, a degraded
-        :class:`ResilientBackend` buffers and replays it in write order
-        like any other ingest statement.
+        table can never drift from the base tables.
         """
         rows = []
         for s in knowledge.summaries:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.core.persistence.scan import ScanQuery
 from repro.core.persistence.transfer import knowledge_from_dict, knowledge_to_dict
 from repro.core.service.wire import PROTOCOL, WireProtocolError
-from repro.util.errors import DeadlineError, ServiceError
+from repro.util.errors import DeadlineError, PersistenceError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.knowledge import Knowledge
@@ -221,7 +221,9 @@ class ServiceDispatcher:
             args = decode_args(op, payload)
         except ServiceError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, PersistenceError) as exc:
+            # The knowledge codec reports a mangled object (say, a summary
+            # missing a field) as PersistenceError; it is still a bad request.
             error = WireProtocolError(
                 f"malformed arguments for operation {op!r}: {exc}"
             )

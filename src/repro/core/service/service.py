@@ -22,8 +22,9 @@ serving layer, embeddable in-process:
   gives every caller its own copy.
 * shard writes run on the shard map's
   :class:`~repro.core.persistence.backend.ResilientBackend`, so a
-  wedged shard trips its circuit breaker and quarantines (writes buffer
-  and replay on heal) instead of failing the whole cycle.
+  wedged shard trips its circuit breaker and quarantines: its writes
+  fail fast with a transient, typed error carrying the breaker's
+  ``retry_after_s`` while its reads and every other shard keep serving.
 
 Every queue transition, shard latency and cache event is recorded in
 the attached :class:`~repro.core.metrics.MetricsRegistry` under the
@@ -75,7 +76,7 @@ class KnowledgeService:
 
     The service starts its workers on the first ``submit`` and is a
     context manager; ``close()`` drains the queue, stops the workers and
-    closes every shard (flushing any degraded-mode write buffers).
+    closes every shard.
 
     Read results (``load``, ``fetch_many``, ``load_all``) are the very
     objects held by the read-through cache, shared with every later

@@ -7,7 +7,9 @@ study's thousands of runs, many concurrent readers) the store is split
 into *shards*: independent :class:`~repro.core.persistence.database.
 KnowledgeDatabase` files, each guarded by its own lock and its own
 :class:`~repro.core.persistence.backend.ResilientBackend` circuit
-breaker, so contention and failure stay local to one shard.
+breaker, so contention and failure stay local to one shard: a wedged
+shard fails its writes fast with a transient error while its reads and
+every other shard keep serving.
 
 Placement is *stable*: a knowledge object's shard is derived by hashing
 its partition key (``benchmark/system``) with the repository-wide
@@ -153,8 +155,7 @@ class KnowledgeShardMap:
     shard count).
 
     Every shard write must happen under that shard's ``lock`` — the
-    single-writer discipline SQLite (and the resilient backend's rowid
-    prediction) requires.  :class:`~repro.core.service.service.
+    single-writer discipline SQLite requires.  :class:`~repro.core.service.service.
     KnowledgeService` enforces this for its callers.
     """
 
@@ -280,7 +281,7 @@ class KnowledgeShardMap:
         return len(self.shards)
 
     def close(self) -> None:
-        """Close every shard backend (flushing degraded buffers)."""
+        """Close every shard backend."""
         errors = []
         for shard in self.shards:
             with shard.lock:

@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             channel.close()
         except OSError:
             pass
-    service.close()  # flush degraded-mode buffers, close every shard
+    service.close()  # close every shard
     return 0
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "BenchmarkError",
     "ExtractionError",
     "PersistenceError",
+    "PersistenceUnavailableError",
     "PipelineError",
     "DeadlineError",
     "ServiceError",
@@ -97,6 +98,25 @@ class ExtractionError(ReproError):
 
 class PersistenceError(ReproError):
     """Phase III: database operation failed."""
+
+
+class PersistenceUnavailableError(PersistenceError):
+    """A knowledge-database write was refused or never went through.
+
+    Raised by :class:`~repro.core.persistence.backend.ResilientBackend`
+    when its circuit breaker is open or a write is still transient after
+    its last retry.  Nothing of the operation was saved, so re-running
+    it is safe: the error is transient, and ``retry_after_s`` is the
+    breaker's remaining open window (0.0 when there is nothing to wait
+    for).  Over the wire it travels as code ``persistence`` with
+    ``retryable`` and a ``retry_after`` hint.
+    """
+
+    transient = True
+
+    def __init__(self, message: str, *, retry_after_s: float = 0.0) -> None:
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class PipelineError(ReproError):

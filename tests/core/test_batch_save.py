@@ -1,6 +1,6 @@
 """Batched ``save_many``: one ``executemany`` per table instead of one
 ``INSERT`` round-trip per row, with exact parity against the per-row
-path and a clean fallback for degraded resilient backends."""
+path."""
 
 import math
 
@@ -12,11 +12,9 @@ from repro.core.knowledge import (
     KnowledgeResult,
     KnowledgeSummary,
 )
-from repro.core.persistence.backend import ResilientBackend
 from repro.core.persistence.database import KnowledgeDatabase
 from repro.core.persistence.repository import KnowledgeRepository
 from repro.core.persistence.scan import ScanQuery
-from repro.core.resilience import CircuitBreaker, RetryPolicy
 
 
 def make_knowledge(i, *, results_per_summary=2):
@@ -56,11 +54,10 @@ def make_knowledge(i, *, results_per_summary=2):
 class CountingBackend:
     """Delegating backend that counts statement round-trips."""
 
-    def __init__(self, inner, degraded=False):
+    def __init__(self, inner):
         self.inner = inner
         self.execute_calls = 0
         self.executemany_calls = 0
-        self.degraded = degraded
 
     def execute(self, sql, params=()):
         self.execute_calls += 1
@@ -195,45 +192,3 @@ class TestBatchedSaveMany:
             assert scan_results_match(
                 repo.scan(query), fold_scan(query, repo.load_all())
             )
-
-    def test_degraded_backend_falls_back_to_per_row(self):
-        with KnowledgeDatabase(":memory:") as db:
-            counting = CountingBackend(db, degraded=True)
-            repo = KnowledgeRepository(counting)
-            ids = repo.save_many([make_knowledge(i) for i in range(6)])
-            assert ids == list(range(1, 7))
-            # per-row path: one performances INSERT per object at least
-            assert counting.execute_calls >= 6
-
-
-class TestResilientExecutemanyRowids:
-    def _resilient(self, db):
-        return ResilientBackend(
-            db,
-            retry_policy=RetryPolicy(max_attempts=1, base_delay_s=0.0),
-            breaker=CircuitBreaker(failure_threshold=1, reset_timeout_s=60.0),
-            sleep=lambda _: None,
-        )
-
-    def test_batch_insert_invalidates_prediction_cache(self):
-        with KnowledgeDatabase(":memory:") as db:
-            backend = self._resilient(db)
-            cur = backend.execute(
-                "INSERT INTO performances (benchmark) VALUES (?)", ("ior",)
-            )
-            assert cur.lastrowid == 1  # prediction cache now primed at 2
-            backend.executemany(
-                "INSERT INTO performances (benchmark) VALUES (?)",
-                [("ior",), ("ior",), ("ior",)],
-            )
-            # trip the breaker so the next INSERT is buffered + predicted
-            backend.breaker.record_failure()
-            buffered = backend.execute(
-                "INSERT INTO performances (benchmark) VALUES (?)", ("ior",)
-            )
-            # stale cache would predict 2; the live table says 5
-            assert buffered.lastrowid == 5
-            backend.flush()
-            row = db.execute(
-                "SELECT MAX(id) AS m FROM performances").fetchone()
-            assert int(row["m"]) == 5

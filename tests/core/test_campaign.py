@@ -3,6 +3,7 @@ launcher worker pool, and the kill-and-resume exactly-once property."""
 
 import itertools
 import json
+import sqlite3
 import time
 
 import pytest
@@ -42,6 +43,19 @@ nodes = "2"
 [report]
 x_axis = "transfersize"
 metric = "bw_mean"
+"""
+
+NOOP_TOML = """
+[campaign]
+name = "noop-one"
+benchmark = "noop"
+max_attempts = 3
+
+[parameters]
+idx = "0"
+
+[fixed]
+duration_ms = "0"
 """
 
 
@@ -319,6 +333,74 @@ class TestLauncher:
         )
         assert released >= 1
         assert breaker.state == "closed"
+
+    def test_wedged_knowledge_db_fails_job_retryably_then_heals(
+        self, tmp_path, monkeypatch
+    ):
+        """A write refused by the open breaker must never mark a job DONE.
+
+        The job is failed as retryable with nothing on disk; once the
+        breaker's window passes, the rerun lands exactly one row
+        carrying the job's token.
+        """
+        from repro.core.campaign import launcher as launcher_module
+
+        store, cid, backend_url = _submit(tmp_path, toml=NOOP_TOML)
+        now = [0.0]
+        db_breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=10.0, clock=lambda: now[0]
+        )
+        db_breaker.record_failure()  # the knowledge database is wedged
+        real_open_sink = launcher_module.open_sink
+
+        def wedged_sink(url, *, metrics=None):
+            sink = real_open_sink(url, metrics=metrics)
+            sink._backend.breaker = db_breaker
+            return sink
+
+        monkeypatch.setattr(launcher_module, "open_sink", wedged_sink)
+
+        def rows_on_disk():
+            conn = sqlite3.connect(backend_url)
+            try:
+                return [
+                    json.loads(p)["campaign_job"]
+                    for (p,) in conn.execute("SELECT parameters_json FROM performances")
+                ]
+            finally:
+                conn.close()
+
+        failures = []
+        real_fail = store.fail
+
+        def fail(job_id, error, *, retryable, owner=None):
+            failures.append((error, retryable, rows_on_disk()))
+            return real_fail(job_id, error, retryable=retryable, owner=owner)
+
+        monkeypatch.setattr(store, "fail", fail)
+
+        def sleep(delay_s):
+            now[0] += delay_s
+
+        # The launcher's own breaker trips on the failed job, so it backs
+        # off (on the shared fake clock) instead of burning the budget.
+        launcher_breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=10.0, clock=lambda: now[0]
+        )
+        counts = _launcher(
+            store, cid, tmp_path, workers=1, breaker=launcher_breaker,
+            clock=lambda: now[0], sleep=sleep, poll_s=1.0,
+        ).run()
+        assert failures, "the refused write was reported as a completed job"
+        assert len(failures) == 1
+        error, retryable, rows = failures[0]
+        assert "PersistenceUnavailableError" in error and retryable
+        assert rows == []
+        assert counts["DONE"] == len(store.jobs(cid)) and counts["FAILED"] == 0
+        job = next(j for j in store.jobs(cid) if j.kind == "benchmark")
+        assert job.attempts == 2
+        assert rows_on_disk() == [job.token]
+        assert db_breaker.state == CircuitBreaker.CLOSED
 
     def test_campaign_metrics_family(self, tmp_path):
         metrics = MetricsRegistry()

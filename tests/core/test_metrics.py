@@ -29,7 +29,7 @@ from repro.core.pipeline import FailurePolicy, PhasePipeline, PhaseRegistry
 from repro.core.resilience import CircuitBreaker, RetryPolicy, retry
 from repro.iostack.stack import Testbed
 from repro.iostack.tracing import TraceEvent
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, PersistenceUnavailableError
 from repro.util.rng import stream
 
 
@@ -352,71 +352,62 @@ class _AlwaysLocked:
 
 
 class TestPersistenceMetrics:
-    def test_degraded_writes_update_buffer_depth_and_counters(self):
+    def _backend(self, inner, reg, reset_s):
+        return ResilientBackend(
+            inner,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0,
+                                     retryable=transient_db_error),
+            breaker=CircuitBreaker(failure_threshold=1, reset_timeout_s=reset_s,
+                                   metrics=reg, name="persistence"),
+            sleep=lambda s: None,
+            metrics=reg,
+        )
+
+    def test_wedged_writes_count_failed_and_refused(self):
         reg = MetricsRegistry()
         with KnowledgeDatabase(":memory:") as db:
-            backend = ResilientBackend(
-                _AlwaysLocked(db),
-                retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0,
-                                         retryable=transient_db_error),
-                breaker=CircuitBreaker(failure_threshold=1, reset_timeout_s=1e9,
-                                       metrics=reg, name="persistence"),
-                sleep=lambda s: None,
-                metrics=reg,
-            )
-            backend.execute(
-                "INSERT INTO performances (benchmark, command) VALUES ('a', 'c')"
-            )
-            backend.execute(
-                "INSERT INTO performances (benchmark, command) VALUES ('b', 'c')"
-            )
+            backend = self._backend(_AlwaysLocked(db), reg, reset_s=1e9)
+            for _ in range(2):
+                with pytest.raises(PersistenceUnavailableError):
+                    backend.execute(
+                        "INSERT INTO performances (benchmark, command) VALUES ('a', 'c')"
+                    )
             snap = reg.snapshot()
             stmts = {
                 (row["labels"]["kind"], row["labels"]["outcome"]): row["value"]
                 for row in snap["counters"]["persistence.statements_total"]["series"]
             }
             assert stmts[("write", "failed")] == 1  # first write trips the breaker
-            assert stmts[("write", "buffered")] == 2
-            depth = snap["gauges"]["persistence.degraded_buffer_depth"]["series"][0]
-            assert depth["value"] == 2
+            assert stmts[("write", "refused")] == 1  # the open breaker turns it away
+            assert ("write", "ok") not in stmts
+            assert "persistence.rows_written_total" not in snap["counters"]
             # Retries under the persistence site were counted too.
             retries = snap["counters"]["resilience.retries_total"]["series"][0]
             assert retries["labels"] == {"site": "persistence"}
             assert retries["value"] >= 1
 
-    def test_flush_and_replay_outcomes(self):
+    def test_healed_writes_count_ok_and_rows(self):
         reg = MetricsRegistry()
         with KnowledgeDatabase(":memory:") as db:
             inner = _AlwaysLocked(db)
-            backend = ResilientBackend(
-                inner,
-                retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0,
-                                         retryable=transient_db_error),
-                breaker=CircuitBreaker(failure_threshold=1, reset_timeout_s=0.0,
-                                       metrics=reg, name="persistence"),
-                sleep=lambda s: None,
-                metrics=reg,
-            )
-            backend.execute(
-                "INSERT INTO performances (benchmark, command) VALUES ('a', 'c')"
-            )
+            backend = self._backend(inner, reg, reset_s=0.0)
+            sql = "INSERT INTO performances (benchmark, command) VALUES ('a', 'c')"
+            with pytest.raises(PersistenceUnavailableError):
+                backend.execute(sql)
             inner.execute = db.execute  # database heals
-            backend.flush()
+            backend.execute(sql)
+            backend.commit()
             snap = reg.snapshot()
-            flushes = {
-                row["labels"]["outcome"]: row["value"]
-                for row in snap["counters"]["persistence.flushes_total"]["series"]
+            stmts = {
+                (row["labels"]["kind"], row["labels"]["outcome"]): row["value"]
+                for row in snap["counters"]["persistence.statements_total"]["series"]
             }
-            assert flushes.get("ok") == 1
-            replays = {
-                row["labels"]["outcome"]: row["value"]
-                for row in snap["counters"]["persistence.replays_total"]["series"]
-            }
-            assert replays.get("ok") == 1
-            depth = snap["gauges"]["persistence.degraded_buffer_depth"]["series"][0]
-            assert depth["value"] == 0
+            assert stmts[("write", "failed")] == 1
+            assert stmts[("write", "ok")] == 1
+            assert stmts[("commit", "ok")] == 1
             rows = snap["counters"]["persistence.rows_written_total"]["series"][0]
-            assert rows["value"] >= 1
+            assert rows["value"] == 1
+            assert db.table_count("performances") == 1
 
     def test_database_statement_counters(self):
         reg = MetricsRegistry()

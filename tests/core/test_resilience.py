@@ -1,4 +1,4 @@
-"""Resilience layer: retry/backoff, breaker, quarantine, degraded DB.
+"""Resilience layer: retry/backoff, breaker, quarantine, fail-fast DB writes.
 
 Covers the PR-2 acceptance criteria: deterministic backoff schedules,
 circuit-breaker state transitions, quarantined revolutions that do not
@@ -10,10 +10,22 @@ at both the benchmark and the database layer.
 import sqlite3
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.bench.scan_bench import scan_results_match
 from repro.core.cycle import KnowledgeCycle
+from repro.core.knowledge import (
+    FilesystemInfo,
+    Knowledge,
+    KnowledgeResult,
+    KnowledgeSummary,
+)
 from repro.core.persistence import KnowledgeDatabase, KnowledgeRepository
 from repro.core.persistence.backend import ResilientBackend, transient_db_error
+from repro.core.persistence.scan import ScanQuery, fold_scan
+from repro.core.persistence.transfer import knowledge_to_dict
 from repro.core.pipeline import (
     FailurePolicy,
     PhaseObserver,
@@ -28,6 +40,7 @@ from repro.util.errors import (
     ConfigurationError,
     DeadlineError,
     PersistenceError,
+    PersistenceUnavailableError,
     PipelineError,
 )
 from repro.util.rng import stream
@@ -555,25 +568,42 @@ class TestHardFaults:
 # resilient persistence backend
 # ----------------------------------------------------------------------
 class _LockedBackend:
-    """Wraps a KnowledgeDatabase, failing the first N write executes."""
+    """Wraps a KnowledgeDatabase, failing writes with "database is locked".
 
-    def __init__(self, db, fail_writes=0, fail_commits=0):
+    The first ``pass_writes`` write attempts succeed and the next
+    ``fail_writes`` fail; :meth:`wedge` and :meth:`heal` move that window
+    while a test runs.
+    """
+
+    def __init__(self, db, fail_writes=0, fail_commits=0, pass_writes=0):
         self.db = db
         self.fail_writes = fail_writes
         self.fail_commits = fail_commits
+        self.pass_writes = pass_writes
         self.write_attempts = 0
+
+    def wedge(self, after=0, commits=False):
+        """Let ``after`` more writes through, then fail every write."""
+        self.pass_writes = self.write_attempts + after
+        self.fail_writes = 10**9
+        self.fail_commits = 10**9 if commits else 0
+
+    def heal(self):
+        self.fail_writes = 0
+        self.fail_commits = 0
+
+    def _write_attempt(self):
+        self.write_attempts += 1
+        if self.pass_writes < self.write_attempts <= self.pass_writes + self.fail_writes:
+            raise sqlite3.OperationalError("database is locked")
 
     def execute(self, sql, params=()):
         if sql.lstrip().split(None, 1)[0].lower() in ("insert", "update", "delete"):
-            self.write_attempts += 1
-            if self.write_attempts <= self.fail_writes:
-                raise sqlite3.OperationalError("database is locked")
+            self._write_attempt()
         return self.db.execute(sql, params)
 
     def executemany(self, sql, rows):
-        self.write_attempts += 1
-        if self.write_attempts <= self.fail_writes:
-            raise sqlite3.OperationalError("database is locked")
+        self._write_attempt()
         return self.db.executemany(sql, rows)
 
     def commit(self):
@@ -595,110 +625,365 @@ class _LockedBackend:
         return self.db.table_count(table)
 
 
+def _knowledge(marker, summaries=1):
+    """A knowledge object touching every per-object table."""
+    k = Knowledge(
+        benchmark="ior" if marker % 3 else "mdtest", command=f"ior -m {marker}",
+        api="MPIIO", num_nodes=2, num_tasks=8, parameters={"marker": marker},
+        system={"hostname": f"n{marker % 4}"},
+    )
+    for j in range(summaries):
+        k.summaries.append(
+            KnowledgeSummary(
+                operation=("write", "read")[j % 2], api="MPIIO",
+                bw_max=100.0 + marker, bw_min=90.0 + marker, bw_mean=95.0 + marker,
+                bw_stddev=1.0, ops_max=30.0, ops_min=10.0, ops_mean=20.0,
+                ops_stddev=5.0, iterations=1,
+                results=[KnowledgeResult(iteration=0, bandwidth_mib=95.0 + marker, iops=7.0)],
+            )
+        )
+    if marker % 2:
+        k.filesystem = FilesystemInfo(fs_type="beegfs", num_targets=4)
+    return k
+
+
+def _scan_matches_fold(repo):
+    """``scan()`` (served from ``agg_summaries``) equals the reference fold."""
+    query = ScanQuery(metric="bw_mean", group_by=("benchmark", "operation"))
+    return scan_results_match(repo.scan(query), fold_scan(query, repo.load_all()))
+
+
 class TestTransientDbPredicate:
     def test_recognises_locked_and_transient(self):
         assert transient_db_error(sqlite3.OperationalError("database is locked"))
         assert transient_db_error(PersistenceError("database error on INSERT: database is locked"))
         assert transient_db_error(_transient())
+        assert transient_db_error(PersistenceUnavailableError("wedged"))
         assert not transient_db_error(sqlite3.OperationalError("no such table: x"))
         assert not transient_db_error(ValueError("nope"))
 
 
+_INSERT = "INSERT INTO performances (benchmark, command) VALUES ('a', 'c')"
+
+
 class TestResilientBackend:
-    def _resilient(self, inner, threshold=3):
+    def _resilient(self, inner, threshold=3, reset_s=0.0, clock=None):
         return ResilientBackend(
             inner,
             retry_policy=RetryPolicy(
                 max_attempts=3, base_delay_s=0.0, jitter=0.0,
                 retryable=transient_db_error,
             ),
-            breaker=CircuitBreaker(failure_threshold=threshold, reset_timeout_s=0.0),
+            breaker=CircuitBreaker(
+                failure_threshold=threshold, reset_timeout_s=reset_s,
+                **({"clock": clock} if clock else {}),
+            ),
             sleep=lambda s: None,
         )
 
     def test_survives_locked_burst_within_retry_budget(self):
-        from repro.core.knowledge import Knowledge
-
         with KnowledgeDatabase(":memory:") as db:
             flaky = _LockedBackend(db, fail_writes=2)
             backend = self._resilient(flaky)
             repo = KnowledgeRepository(backend)
             ids = [repo.save(Knowledge(benchmark="ior")) for _ in range(3)]
             assert ids == [1, 2, 3]
-            assert not backend.degraded
+            assert backend.breaker.state == CircuitBreaker.CLOSED
             assert backend.table_count("performances") == 3
 
-    def test_long_burst_trips_breaker_and_buffers(self):
-        from repro.core.knowledge import Knowledge
-
+    def test_long_burst_trips_breaker_and_raises(self):
+        now = [0.0]
         with KnowledgeDatabase(":memory:") as db:
-            # Each save retries 3x; a long burst exhausts the budget and
-            # trips the breaker after `threshold` failed statements.
+            # Each write retries 3x; a burst longer than that raises the
+            # typed transient error and trips the breaker.
             flaky = _LockedBackend(db, fail_writes=10_000)
-            backend = self._resilient(flaky, threshold=1)
+            backend = self._resilient(flaky, threshold=1, reset_s=5.0, clock=lambda: now[0])
             repo = KnowledgeRepository(backend)
-            ids = [repo.save(Knowledge(benchmark="ior")) for _ in range(2)]
-            assert backend.degraded and backend.buffered_statements > 0
-            assert ids == [1, 2]  # predicted rowids keep the sequence
-            # Database heals: flush replays the buffer in order.
-            flaky.fail_writes = 0
-            backend.flush()
-            assert not backend.degraded
-            assert backend.table_count("performances") == 2
-            loaded = repo.load(1)
-            assert loaded.benchmark == "ior"
+            with pytest.raises(PersistenceUnavailableError) as failed:
+                repo.save(Knowledge(benchmark="ior"))
+            assert failed.value.transient
+            assert backend.breaker.state == CircuitBreaker.OPEN
+            # While OPEN, writes are refused without touching the database.
+            attempts = flaky.write_attempts
+            with pytest.raises(PersistenceUnavailableError) as refused:
+                repo.save(Knowledge(benchmark="ior"))
+            assert refused.value.retry_after_s == 5.0
+            assert flaky.write_attempts == attempts
+            assert backend.table_count("performances") == 0
+            # The database heals and the window passes: the next save is
+            # the half-open probe, succeeds, and closes the breaker.
+            flaky.heal()
+            now[0] += 5.0
+            assert repo.save(Knowledge(benchmark="ior")) == 1
+            assert backend.breaker.state == CircuitBreaker.CLOSED
+            assert backend.table_count("performances") == 1
+            assert repo.load(1).benchmark == "ior"
 
     def test_degraded_reads_still_pass_through(self):
         with KnowledgeDatabase(":memory:") as db:
             flaky = _LockedBackend(db, fail_writes=10_000)
-            backend = self._resilient(flaky, threshold=1)
-            backend.execute("INSERT INTO performances (benchmark, command) VALUES ('a', 'c')")
-            assert backend.degraded
-            # Reads bypass the breaker entirely (read-only degraded mode).
+            backend = self._resilient(flaky, threshold=1, reset_s=60.0)
+            with pytest.raises(PersistenceUnavailableError):
+                backend.execute(_INSERT)
+            assert backend.breaker.state == CircuitBreaker.OPEN
+            # Reads bypass the breaker entirely.
             rows = backend.execute("SELECT COUNT(*) AS n FROM performances").fetchone()
-            assert rows["n"] == 0  # buffered write not yet visible
+            assert rows["n"] == 0
 
-    def test_close_flushes_buffer(self, tmp_path):
+    def test_close_with_open_breaker_writes_nothing(self, tmp_path):
         path = tmp_path / "resilient.db"
         db = KnowledgeDatabase(path)
-        flaky = _LockedBackend(db, fail_writes=3)
-        backend = self._resilient(flaky, threshold=1)
-        backend.execute("INSERT INTO performances (benchmark, command) VALUES ('a', 'c')")
-        assert backend.degraded
-        flaky.fail_writes = 0
-        backend.close()
-        with KnowledgeDatabase(path) as check:
-            assert check.table_count("performances") == 1
-
-    def test_close_raises_when_flush_impossible(self):
-        db = KnowledgeDatabase(":memory:")
         flaky = _LockedBackend(db, fail_writes=10_000)
-        backend = self._resilient(flaky, threshold=1)
-        backend.execute("INSERT INTO performances (benchmark, command) VALUES ('a', 'c')")
-        with pytest.raises(PersistenceError, match="unsaved"):
-            backend.close()
-        assert backend.buffered_statements == 1  # nothing silently dropped
-        db.close()
+        backend = self._resilient(flaky, threshold=1, reset_s=60.0)
+        with pytest.raises(PersistenceUnavailableError):
+            backend.execute(_INSERT)
+        with pytest.raises(PersistenceUnavailableError):
+            backend.execute(_INSERT)  # refused by the open breaker
+        flaky.heal()
+        backend.close()  # holds nothing back, so nothing to raise
+        assert db.closed
+        with KnowledgeDatabase(path) as check:
+            assert check.table_count("performances") == 0
 
-    def test_rollback_drops_uncommitted_buffer(self):
+    def test_rollback_drops_uncommitted_writes(self):
         with KnowledgeDatabase(":memory:") as db:
-            flaky = _LockedBackend(db, fail_writes=10_000)
-            backend = self._resilient(flaky, threshold=1)
-            backend.execute("INSERT INTO performances (benchmark, command) VALUES ('a', 'c')")
-            backend.commit()
-            backend.execute("INSERT INTO performances (benchmark, command) VALUES ('b', 'c')")
-            backend.rollback()  # drops only the write after the commit marker
-            assert backend.buffered_statements == 1
-            flaky.fail_writes = 0
-            backend.flush()
-            assert backend.table_count("performances") == 1
+            flaky = _LockedBackend(db, pass_writes=1, fail_writes=10_000)
+            backend = self._resilient(flaky, threshold=1, reset_s=60.0)
+            backend.execute(_INSERT)  # passes, not yet committed
+            with pytest.raises(PersistenceUnavailableError):
+                backend.execute(_INSERT)
+            # The cut-off write took the uncommitted one with it, so no
+            # later commit can make half an operation durable.
+            assert not db.conn.in_transaction
+            assert backend.table_count("performances") == 0
+            # Inside a transaction, the transaction rolls back instead.
+            flaky.wedge(after=1)
+            backend.breaker.record_success()
+            with pytest.raises(PersistenceUnavailableError):
+                with backend.transaction():
+                    backend.execute(_INSERT)
+                    backend.execute(_INSERT)
+            assert backend.table_count("performances") == 0
+
+    def test_refused_commit_raises_and_rolls_back(self):
+        with KnowledgeDatabase(":memory:") as db:
+            flaky = _LockedBackend(db, fail_commits=10_000)
+            backend = self._resilient(flaky, threshold=1, reset_s=60.0)
+            backend.execute(_INSERT)
+            with pytest.raises(PersistenceUnavailableError):
+                backend.commit()
+            assert backend.table_count("performances") == 0
+
+    def test_transaction_commit_blocked_by_reader_raises_and_rolls_back(self, tmp_path):
+        path = tmp_path / "locked.db"
+        db = KnowledgeDatabase(path)
+        db.conn.execute("PRAGMA busy_timeout = 20")
+        backend = self._resilient(db, threshold=1, reset_s=0.0)
+        reader = sqlite3.connect(path)
+        try:
+            reader.execute("BEGIN")
+            reader.execute("SELECT COUNT(*) FROM performances").fetchone()
+            # The open read transaction keeps the final commit from ever
+            # getting its exclusive lock: retried, then typed and undone.
+            with pytest.raises(PersistenceUnavailableError):
+                with backend.transaction():
+                    backend.execute(_INSERT)
+            assert not db.conn.in_transaction
+            reader.rollback()
+            backend.commit()  # a later commit must not resurrect the group
+            assert backend.table_count("performances") == 0
+        finally:
+            reader.close()
+            db.close()
 
     def test_non_transient_error_propagates(self):
         with KnowledgeDatabase(":memory:") as db:
             backend = self._resilient(db)
-            with pytest.raises(PersistenceError):
+            with pytest.raises(PersistenceError) as excinfo:
                 backend.execute("INSERT INTO nonexistent_table (x) VALUES (1)")
-            assert not backend.degraded
+            assert not isinstance(excinfo.value, PersistenceUnavailableError)
+
+
+# ----------------------------------------------------------------------
+# cut-off writes: a save/delete interrupted mid-object leaves no trace
+# ----------------------------------------------------------------------
+class TestCutOffWrites:
+    def _setup(self, db):
+        flaky = _LockedBackend(db)
+        backend = ResilientBackend(
+            flaky,
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay_s=0.0, jitter=0.0,
+                retryable=transient_db_error,
+            ),
+            breaker=CircuitBreaker(failure_threshold=3, reset_timeout_s=0.0),
+            sleep=lambda s: None,
+        )
+        return flaky, backend, KnowledgeRepository(backend)
+
+    def _assert_consistent(self, db, repo, live):
+        assert db.table_count("performances") == len(live)
+        assert db.table_count("summaries") == sum(len(k.summaries) for k in live)
+        orphans = db.execute(
+            "SELECT COUNT(*) AS n FROM performances p WHERE NOT EXISTS "
+            "(SELECT 1 FROM summaries s WHERE s.performance_id = p.id)"
+        ).fetchone()["n"]
+        assert orphans == 0
+        assert _scan_matches_fold(repo)
+
+    def test_save_cut_off_after_performances_insert(self):
+        with KnowledgeDatabase(":memory:") as db:
+            flaky, backend, repo = self._setup(db)
+            flaky.wedge(after=1)  # the performances INSERT passes
+            with pytest.raises(PersistenceUnavailableError) as excinfo:
+                repo.save(_knowledge(1))
+            assert excinfo.value.transient
+            flaky.heal()
+            healed = _knowledge(2)
+            repo.save(healed)
+            backend.commit()
+            self._assert_consistent(db, repo, [healed])
+
+    def test_delete_cut_off_after_performances_delete(self):
+        with KnowledgeDatabase(":memory:") as db:
+            flaky, backend, repo = self._setup(db)
+            kept = _knowledge(3)
+            kid = repo.save(kept)
+            flaky.wedge(after=1)  # the performances DELETE passes
+            with pytest.raises(PersistenceUnavailableError) as excinfo:
+                repo.delete(kid)
+            assert excinfo.value.transient
+            flaky.heal()
+            healed = _knowledge(3)
+            repo.save(healed)
+            backend.commit()
+            self._assert_consistent(db, repo, [kept, healed])
+
+
+# ----------------------------------------------------------------------
+# state machine: id assignment and atomicity against a flapping database
+# ----------------------------------------------------------------------
+_TABLES = ("performances", "summaries", "results", "filesystems", "systems",
+           "agg_summaries", "sqlite_sequence")
+
+
+def _fingerprint(k):
+    data = knowledge_to_dict(k)
+    data["system"] = (k.system or {}).get("hostname")
+    return data
+
+
+class WritePathMachine(RuleBasedStateMachine):
+    """``save``/``save_many``/``delete`` while the database wedges and heals.
+
+    The model maps each live id to its object's fingerprint.  A write
+    either lands whole (ids strictly above every id ever handed out) or
+    raises the typed transient error and leaves every table as it was.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.now = 0.0
+        self.db = KnowledgeDatabase(":memory:")
+        self.flaky = _LockedBackend(self.db)
+        self.backend = ResilientBackend(
+            self.flaky,
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay_s=0.0, jitter=0.0,
+                retryable=transient_db_error,
+            ),
+            breaker=CircuitBreaker(
+                failure_threshold=2, reset_timeout_s=1.0, clock=lambda: self.now
+            ),
+            sleep=lambda s: None,
+        )
+        self.repo = KnowledgeRepository(self.backend)
+        self.model = {}
+        self.high_water = 0
+        self.markers = 0
+
+    def teardown(self):
+        self.db.close()
+
+    def _new(self, summaries):
+        self.markers += 1
+        return _knowledge(self.markers, summaries)
+
+    def _tables(self):
+        return {
+            t: [tuple(r) for r in self.db.execute(f"SELECT * FROM {t} ORDER BY rowid")]
+            for t in _TABLES
+        }
+
+    def _attempt(self, op):
+        """Run one op; on the typed error check it changed nothing."""
+        before = self._tables()
+        try:
+            return op()
+        except PersistenceUnavailableError as exc:
+            assert exc.transient and exc.retry_after_s >= 0.0
+            assert not self.db.conn.in_transaction
+            assert self._tables() == before
+            return None
+
+    def _record(self, ids, objects):
+        assert ids == sorted(set(ids))
+        if ids:
+            assert ids[0] > self.high_water  # never reused, even after delete
+            self.high_water = ids[-1]
+        for kid, k in zip(ids, objects):
+            assert k.knowledge_id == kid
+            self.model[kid] = _fingerprint(k)
+
+    @rule(summaries=st.integers(0, 2))
+    def save(self, summaries):
+        k = self._new(summaries)
+        kid = self._attempt(lambda: self.repo.save(k))
+        if kid is not None:
+            self._record([kid], [k])
+
+    @rule(sizes=st.lists(st.integers(0, 2), max_size=4))
+    def save_many(self, sizes):
+        batch = [self._new(n) for n in sizes]
+        ids = self._attempt(lambda: self.repo.save_many(batch))
+        if ids is not None:
+            self._record(ids, batch)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete(self, data):
+        kid = data.draw(st.sampled_from(sorted(self.model)))
+        if self._attempt(lambda: self.repo.delete(kid) or True):
+            del self.model[kid]
+
+    @rule(after=st.integers(0, 6), commits=st.booleans())
+    def wedge(self, after, commits):
+        self.flaky.wedge(after, commits=commits)
+
+    @rule()
+    def heal(self):
+        self.flaky.heal()
+
+    @rule()
+    def wait_out_breaker(self):
+        self.now += 1.0
+
+    @invariant()
+    def reads_return_the_model(self):
+        ids = sorted(self.model)
+        assert self.repo.list_ids() == ids
+        assert [_fingerprint(k) for k in self.repo.fetch_many(ids)] == [
+            self.model[i] for i in ids
+        ]
+        for kid in ids[-2:]:
+            assert _fingerprint(self.repo.load(kid)) == self.model[kid]
+        assert _scan_matches_fold(self.repo)
+
+
+TestWritePathMachine = WritePathMachine.TestCase
+TestWritePathMachine.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +1021,6 @@ class TestEndToEndResilientCycle:
             observers=[timer], default_policy=policy, sleep=slept.append,
         )
         results = [cycle.run_cycle(CYCLE_XML) for _ in range(3)]
-        backend.flush()
         counts = backend.table_count("performances")
         db.close()
         return results, slept, counts, timer

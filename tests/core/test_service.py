@@ -435,7 +435,7 @@ def test_group_by_owner_keeps_positions_in_sorted_owner_order():
 
 
 # ----------------------------------------------------------------------
-# wedged-shard quarantine (circuit breaker + degraded writes)
+# wedged-shard quarantine (circuit breaker, fail-fast writes)
 # ----------------------------------------------------------------------
 @pytest.mark.timeout(30)
 def test_wedged_shard_quarantines_and_heals(tmp_path):
@@ -459,19 +459,23 @@ def test_wedged_shard_quarantines_and_heals(tmp_path):
         for _ in range(3):
             breakers[target.index].record_failure()
         assert breakers[target.index].state == CircuitBreaker.OPEN
-        # A write to the wedged shard degrades into the buffer — the
-        # service keeps answering, nothing fails the cycle.
-        buffered_gid = client.save(make_knowledge(2, host="wedge"))
-        assert target.backend.degraded
-        assert target.backend.buffered_statements > 0
+        rows = target.backend.table_count("performances")
+        # A write to the wedged shard fails fast with a typed transient
+        # error that says how long the quarantine lasts; nothing lands.
+        with pytest.raises(PersistenceError) as excinfo:
+            client.save(make_knowledge(2, host="wedge"))
+        assert excinfo.value.transient
+        assert excinfo.value.retry_after_s > 0
+        assert target.backend.table_count("performances") == rows
         # Other shards are untouched.
         assert client.load(healthy_gid).parameters["marker"] == 1
-        # Heal: past the reset timeout the next write probes, replays
-        # the buffer, and the quarantined knowledge becomes readable.
+        # Heal: past the reset timeout the retried write is the half-open
+        # probe, lands, and closes the breaker.
         now[0] += 2.0
-        client.save(make_knowledge(3, host="wedge"))
-        assert not target.backend.degraded
-        assert client.load(buffered_gid).parameters["marker"] == 2
+        healed_gid = client.save(make_knowledge(2, host="wedge"))
+        assert breakers[target.index].state == CircuitBreaker.CLOSED
+        assert client.load(healed_gid).parameters["marker"] == 2
+        assert target.backend.table_count("performances") == rows + 1
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.metrics import MetricsRegistry
 from repro.core.service.client import ServiceClient
+from repro.core.service.ops import encode_args
 from repro.core.service.server import KnowledgeServer
 from repro.core.service.shard import decode_knowledge_id, encode_knowledge_id
 from repro.core.service.wire import (
@@ -44,6 +45,7 @@ from repro.core.service.wire import (
 from repro.util.errors import (
     DeadlineError,
     PersistenceError,
+    PersistenceUnavailableError,
     ServiceError,
     ServiceOverloadError,
     ServiceTransportError,
@@ -144,6 +146,10 @@ class TestErrorRegistry:
         assert error_body(ServiceTransportError("x", retryable=False))[
             "retryable"
         ] is False
+        assert error_body(PersistenceUnavailableError("wedged", retry_after_s=0.5)) == {
+            "code": "persistence", "message": "wedged",
+            "retryable": True, "retry_after": 0.5,
+        }
 
     def test_raise_wire_error_reconstructs_class_and_flags(self):
         with pytest.raises(ServiceOverloadError) as excinfo:
@@ -157,6 +163,14 @@ class TestErrorRegistry:
         with pytest.raises(PersistenceError) as excinfo:
             raise_wire_error({"code": "persistence", "message": "gone"})
         assert not excinfo.value.transient
+
+        # A wedged knowledge database travels as a retryable persistence
+        # error with the breaker's remaining window as the hint.
+        body = error_body(PersistenceUnavailableError("wedged", retry_after_s=0.5))
+        with pytest.raises(PersistenceError) as excinfo:
+            raise_wire_error(body)
+        assert excinfo.value.transient and excinfo.value.retry_after_s == 0.5
+        assert excinfo.value.wire_code == "persistence"
 
         with pytest.raises(ServiceError):  # unknown code -> base class
             raise_wire_error({"code": "from-the-future", "message": "?"})
@@ -327,6 +341,13 @@ class TestMalformedInputHardening:
             response = _roundtrip(
                 sock, {"id": 3, "op": "load", "args": {"wrong": "shape"}}
             )
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad-request"
+            # Well-formed JSON whose knowledge lost a summary field (a
+            # frame corrupted in flight can look like this) is one too.
+            args = encode_args("save", [make_knowledge(1)])
+            del args["knowledge"]["data"]["summaries"][0]["bw_mean"]
+            response = _roundtrip(sock, {"id": 4, "op": "save", "args": args})
             assert response["ok"] is False
             assert response["error"]["code"] == "bad-request"
         _assert_server_healthy(server)
