@@ -468,7 +468,7 @@ def _counter_total(snapshot: Mapping, name: str, **match: str) -> float:
 
 
 def _service_section(snapshot: Mapping) -> list[str]:
-    """The knowledge-service digest: cache hit-rate, queue, shed load.
+    """The knowledge-service digest: cache hit-rate, requests, shed load.
 
     Rendered only when the snapshot carries ``service.*`` families —
     i.e. the run actually went through the serving layer.
@@ -489,10 +489,6 @@ def _service_section(snapshot: Mapping) -> list[str]:
     shed = _counter_total(snapshot, "service.requests_total", outcome="shed")
     served = _counter_total(snapshot, "service.requests_total", outcome="ok")
     errors = _counter_total(snapshot, "service.requests_total", outcome="error")
-    depth = 0.0
-    depth_family = snapshot.get("gauges", {}).get("service.queue_depth")
-    if depth_family and depth_family["series"]:
-        depth = depth_family["series"][0]["value"]
     title = "Knowledge service"
     lines = [
         "",
@@ -504,7 +500,6 @@ def _service_section(snapshot: Mapping) -> list[str]:
         f"{_fmt_value(capacity)} capacity",
         f"  requests         {_fmt_value(served)} ok, {_fmt_value(errors)} error(s), "
         f"{_fmt_value(shed)} shed (overload)",
-        f"  queue depth      {_fmt_value(depth)}",
     ]
     lines += _transport_lines(snapshot)
     lines += _supervisor_lines(snapshot)

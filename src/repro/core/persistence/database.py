@@ -14,6 +14,7 @@ protocol the repositories depend on.
 
 from __future__ import annotations
 
+import math
 import sqlite3
 from contextlib import contextmanager
 from pathlib import Path
@@ -79,6 +80,11 @@ class KnowledgeDatabase:
             self.conn = sqlite3.connect(resolved, check_same_thread=check_same_thread)
             self.conn.row_factory = sqlite3.Row
             self.conn.execute("PRAGMA foreign_keys = ON")
+            try:
+                self.conn.execute("SELECT ln(1)")
+            except sqlite3.OperationalError:  # no math functions: scans need these
+                self.conn.create_function("ln", 1, math.log, deterministic=True)
+                self.conn.create_function("floor", 1, math.floor, deterministic=True)
             create_schema(self.conn)
         except sqlite3.Error as exc:
             raise PersistenceError(f"cannot open database {target!r}: {exc}") from exc
@@ -182,7 +188,11 @@ class KnowledgeDatabase:
         else:
             self._txn_depth -= 1
             if self._txn_depth == 0:
-                self.commit()
+                try:
+                    self.commit()
+                except PersistenceError:
+                    self.rollback()  # else the next commit() makes it durable
+                    raise
 
     def table_count(self, table: str) -> int:
         """Row count of one table (for tests and reports)."""

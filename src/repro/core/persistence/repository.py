@@ -21,6 +21,7 @@ from repro.core.knowledge import (
 from repro.core.persistence import schema
 from repro.core.persistence.backend import PersistenceBackend
 from repro.core.persistence.scan import (
+    _LOG_GAMMA,
     GROUP_COLUMNS,
     METRIC_COLUMNS,
     AggregateState,
@@ -688,8 +689,8 @@ class KnowledgeRepository:
 
         No :class:`Knowledge` objects are materialised: filters,
         group-bys and the five mergeable aggregates are pushed into one
-        ``GROUP BY`` over ``summaries ⋈ performances`` (plus a
-        values-only pass when percentile sketches are requested).
+        ``GROUP BY`` over ``summaries ⋈ performances``, which also
+        groups by sketch bucket when percentiles are requested.
         Queries the pre-aggregated ``agg_summaries`` table can answer —
         no range/parameter filters, no percentiles, grouping only by
         benchmark/api/operation — never touch the base tables at all.
@@ -764,7 +765,11 @@ class KnowledgeRepository:
         return clauses, params
 
     def _scan_partial_from_base(self, query: ScanQuery) -> dict[str, object]:
-        """Push the scan into SQL over ``summaries ⋈ performances``.
+        """Push the scan into one SQL pass over ``summaries ⋈ performances``.
+
+        With percentiles the pass also groups by each value's sign and
+        sketch bucket, so a row holds one bucket's five aggregates; the
+        rows of a group fold here into one :class:`AggregateState`.
 
         A parameter filter is resolved to an id set first (via the
         LIKE-prefiltered, JSON-verified lookup) and applied as chunked
@@ -773,65 +778,61 @@ class KnowledgeRepository:
         """
         column = f"s.{METRIC_COLUMNS[query.metric]}"
         base_clauses, base_params = self._scan_where(query)
-        id_batches: list[tuple[int, ...]] | None = None
+        id_batches: list[tuple[int, ...] | None] = [None]
         if query.parameter is not None:
             ids = self.find_ids_by_parameter(*query.parameter)
             if not ids:
                 return {}
             id_batches = [tuple(batch) for batch in chunked(ids)]
-        group_exprs = [GROUP_COLUMNS[dim] for dim in query.group_by]
-        select_groups = "".join(f"{expr}, " for expr in group_exprs)
-        group_clause = (
-            f" GROUP BY {', '.join(group_exprs)}" if group_exprs else ""
-        )
-        groups: dict[str, AggregateState] = {}
-        for batch in id_batches if id_batches is not None else [None]:
-            clauses = list(base_clauses)
-            params = list(base_params)
-            if batch is not None:
-                marks = ", ".join("?" for _ in batch)
-                clauses.append(f"p.id IN ({marks})")
-                params.extend(batch)
-            where_clause = (
-                f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        width = len(query.group_by)
+        group_terms = [GROUP_COLUMNS[dim] for dim in query.group_by]
+        select_groups = "".join(f"{term}, " for term in group_terms)
+        bucket_columns = ""
+        lead_params: list[object] = []
+        if query.wants_sketch:
+            bucket_columns = (
+                f", ({column} > 0) - ({column} < 0) AS sk_sign, "
+                f"CASE WHEN {column} != 0 THEN "
+                f"CAST(floor(ln(abs({column})) / ?) AS INTEGER) END AS sk_bucket"
             )
+            group_terms += ["sk_sign", "sk_bucket"]
+            lead_params.append(_LOG_GAMMA)
+        group_clause = f" GROUP BY {', '.join(group_terms)}" if group_terms else ""
+        # Per group: (n, total, total_sq, vmin, vmax[, sign, bucket]) rows.
+        buckets: dict[tuple, list[tuple]] = {}
+        for batch in id_batches:
+            clauses = list(base_clauses)
+            params = lead_params + base_params
+            if batch is not None:
+                clauses.append(f"p.id IN ({', '.join('?' for _ in batch)})")
+                params.extend(batch)
+            where_clause = f" WHERE {' AND '.join(clauses)}" if clauses else ""
             for row in self.db.execute(
-                f"SELECT {select_groups}COUNT(*) AS n, SUM({column}) AS total, "
-                f"SUM({column} * {column}) AS total_sq, "
-                f"MIN({column}) AS vmin, MAX({column}) AS vmax "
+                f"SELECT {select_groups}COUNT(*), SUM({column}), "
+                f"SUM({column} * {column}), MIN({column}), MAX({column})"
+                f"{bucket_columns} "
                 "FROM summaries s JOIN performances p ON p.id = s.performance_id"
                 f"{where_clause}{group_clause}",
                 tuple(params),
             ).fetchall():
-                if int(row["n"]) == 0:
-                    continue  # ungrouped aggregate over zero rows
-                key = group_key([row[i] for i in range(len(group_exprs))])
-                state = AggregateState(
-                    n=int(row["n"]),
-                    total=float(row["total"]),
-                    total_sq=float(row["total_sq"]),
-                    vmin=float(row["vmin"]),
-                    vmax=float(row["vmax"]),
-                )
-                if key in groups:
-                    groups[key].merge(state)
-                else:
-                    groups[key] = state
-            if query.wants_sketch:
-                for row in self.db.execute(
-                    f"SELECT {select_groups}{column} AS value "
-                    "FROM summaries s JOIN performances p ON p.id = s.performance_id"
-                    f"{where_clause}",
-                    tuple(params),
-                ).fetchall():
-                    key = group_key([row[i] for i in range(len(group_exprs))])
-                    state = groups.get(key)
-                    if state is None:  # pragma: no cover - same WHERE as above
-                        continue
-                    if state.sketch is None:
-                        state.sketch = PercentileSketch()
-                    state.sketch.add(float(row["value"]))
-        return {key: state.to_payload() for key, state in groups.items()}
+                if row[width]:  # else an ungrouped aggregate over zero rows
+                    buckets.setdefault(row[:width], []).append(row[width:])
+        partials: dict[str, object] = {}
+        for dims, rows in buckets.items():
+            counts, totals, squares, minima, maxima, *sketch_columns = zip(*rows)
+            state = AggregateState(
+                n=sum(counts),
+                total=float(sum(totals)),
+                total_sq=float(sum(squares)),
+                vmin=float(min(minima)),
+                vmax=float(max(maxima)),
+            )
+            if sketch_columns:
+                state.sketch = PercentileSketch()
+                for count, sign, bucket in zip(counts, *sketch_columns):
+                    state.sketch.add_bucket(sign, bucket, count)
+            partials[group_key(dims)] = state.to_payload()
+        return partials
 
     def delete(self, knowledge_id: int) -> None:
         """Delete one knowledge object and its dependent rows.

@@ -24,6 +24,10 @@ is what lets
   states that the router merges — no knowledge objects ever cross the
   wire for an aggregate query.
 
+A base-table scan with percentiles buckets down in SQL too: it groups by
+sign and ``CAST(floor(ln(abs(v)) / ln(gamma)) AS INTEGER)``, the same
+arithmetic as :meth:`PercentileSketch._bucket`, in one ``GROUP BY`` pass.
+
 :func:`fold_scan` is the executable specification: the same query
 evaluated as a plain Python fold over already-loaded knowledge
 objects.  Tests (and ``repro-bench scan``) hold ``scan()`` to it.
@@ -153,6 +157,15 @@ class PercentileSketch:
         else:
             bucket = self._bucket(-value)
             self.neg[bucket] = self.neg.get(bucket, 0) + count
+
+    def add_bucket(self, sign: int, bucket: int | None, count: int) -> None:
+        """Record ``count`` observations bucketed by SQL: ``sign`` is
+        -1, 0 or 1 and ``bucket`` the :meth:`_bucket` of the magnitude."""
+        if sign == 0:
+            self.zeros += count
+        else:
+            counts = self.pos if sign > 0 else self.neg
+            counts[bucket] = counts.get(bucket, 0) + count  # type: ignore[index]
 
     def merge(self, other: "PercentileSketch") -> None:
         """Fold another sketch's buckets into this one."""

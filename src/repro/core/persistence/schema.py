@@ -246,6 +246,11 @@ def create_schema(conn: sqlite3.Connection) -> None:
     cur.execute("PRAGMA foreign_keys = ON")
     for ddl in DDL_STATEMENTS:
         cur.execute(ddl)
+    # Hold the write lock from the counts through the backfill: a writer
+    # committing between the two counts would make the store look like a
+    # version-1 one and the backfill would collide with its fresh rows.
+    if not conn.in_transaction:
+        cur.execute("BEGIN IMMEDIATE")
     agg_rows = cur.execute("SELECT COUNT(*) FROM agg_summaries").fetchone()[0]
     summary_rows = cur.execute("SELECT COUNT(*) FROM summaries").fetchone()[0]
     if agg_rows == 0 and summary_rows > 0:

@@ -3,8 +3,8 @@
 The serving story for the Phase-III knowledge base (§V-C "locally or
 remotely"): a :class:`KnowledgeShardMap` partitions knowledge across
 independent SQLite shards behind a discovery manifest, a
-:class:`KnowledgeService` fronts them with a bounded queue, worker pool
-and epoch-invalidated LRU cache, and a :class:`ServiceClient` gives the
+:class:`KnowledgeService` fronts them with a bounded in-flight cap and
+an epoch-invalidated LRU cache, and a :class:`ServiceClient` gives the
 explorer and usage modules the blocking repository-shaped API they
 already speak — embedded through ``knowledge+service://`` URLs, or
 across processes and hosts through ``knowledge+tcp://`` against a

@@ -4,7 +4,7 @@ The explorer and usage modules should not care whether knowledge comes
 from one local SQLite file, an in-process sharded service or a server
 on another host — §V-C's "local or remote" choice is a URL::
 
-    knowledge+service:///var/lib/repro/store?shards=4&workers=8&cache=256
+    knowledge+service:///var/lib/repro/store?shards=4&queue=64&cache=256
     knowledge+tcp://db-node:9477/?pool=4&timeout_ms=30000
 
 Both flavours run the same code path: :class:`ServiceClient` encodes
@@ -22,7 +22,7 @@ deterministic-jitter :class:`~repro.core.resilience.RetryPolicy`:
 
 * an admission-control shed (:class:`~repro.util.errors.
   ServiceOverloadError`) is always retried — it happens before the
-  request is enqueued, so a retry can never double-apply;
+  request starts, so a retry can never double-apply;
 * a *retryable* transport fault (connection refused/reset, short read,
   timeout — :class:`~repro.util.errors.ServiceTransportError` with
   ``transient=True``) is retried too; the transport marks post-send
@@ -45,6 +45,7 @@ from repro.core.service.shard import KnowledgeShardMap
 from repro.core.service.transport import TcpTransport
 from repro.util.errors import (
     DeadlineError,
+    PersistenceError,
     ServiceError,
     ServiceOverloadError,
     ServiceTransportError,
@@ -70,8 +71,9 @@ __all__ = [
 SERVICE_URL_SCHEME = "knowledge+service"
 TCP_URL_SCHEME = "knowledge+tcp"
 
-#: URL query parameters understood by :func:`parse_service_url`.
-_URL_OPTIONS = ("shards", "workers", "queue", "cache")
+#: URL query parameters understood by :func:`parse_service_url`
+#: (``queue`` is the embedded service's in-flight request cap).
+_URL_OPTIONS = ("shards", "queue", "cache")
 
 #: URL query parameters understood by :func:`parse_tcp_url`.
 _TCP_URL_OPTIONS = ("pool", "timeout_ms", "connect_timeout_ms")
@@ -176,7 +178,6 @@ def open_service(
     *,
     metrics: "MetricsRegistry | None" = None,
     shards: int | None = None,
-    workers: int = 4,
     queue: int = 64,
     cache: int = 128,
 ) -> KnowledgeService:
@@ -184,8 +185,9 @@ def open_service(
 
     URL options override the keyword defaults; an existing store's
     shard count is discovered from its manifest when ``shards`` is
-    omitted.  (Remote ``knowledge+tcp://`` URLs have no embedded
-    service — open those with :meth:`ServiceClient.open`.)
+    omitted, and ``queue`` caps the requests in flight.  (Remote
+    ``knowledge+tcp://`` URLs have no embedded service — open those
+    with :meth:`ServiceClient.open`.)
     """
     options: dict[str, int] = {}
     root = target
@@ -196,7 +198,6 @@ def open_service(
     )
     return KnowledgeService(
         shard_map,
-        workers=options.get("workers", workers),
         queue_size=options.get("queue", queue),
         cache_size=options.get("cache", cache),
         metrics=metrics,
@@ -346,11 +347,12 @@ class ServiceClient:
         )
         try:
             return decode_result(op, result)  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, PersistenceError) as exc:
             # A response that parsed as JSON but no longer has the shape
             # the codec promised (e.g. a corrupted-in-flight frame whose
             # mangled bytes still decode) is a protocol fault, not a
-            # caller bug — surface it as the typed wire error.
+            # caller bug — surface it as the typed wire error.  The
+            # knowledge codec reports a mangled object as PersistenceError.
             raise _typed(
                 WireProtocolError(
                     f"malformed {op!r} result payload from the service: {exc!r}"

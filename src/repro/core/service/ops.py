@@ -8,7 +8,8 @@ objects across.  Both transports speak exactly this model:
 
 * :class:`LocalTransport` — the ``knowledge+service://`` in-process
   path: payloads are decoded straight into a
-  :class:`~repro.core.service.service.KnowledgeService` ``submit``.
+  :class:`~repro.core.service.service.KnowledgeService` ``execute`` on
+  the caller's thread.
 * the TCP path — payloads travel inside :mod:`repro.core.service.wire`
   frames to a ``repro-serve --listen`` server and on to its shard-group
   worker processes.
@@ -21,13 +22,12 @@ kept honest by construction.
 
 from __future__ import annotations
 
-from concurrent.futures import TimeoutError as _FutureTimeoutError
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.persistence.scan import ScanQuery
 from repro.core.persistence.transfer import knowledge_from_dict, knowledge_to_dict
 from repro.core.service.wire import PROTOCOL, WireProtocolError
-from repro.util.errors import DeadlineError, PersistenceError, ServiceError
+from repro.util.errors import PersistenceError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.knowledge import Knowledge
@@ -103,7 +103,7 @@ def encode_args(op: str, args: Sequence[object]) -> dict[str, object]:
 
 
 def decode_args(op: str, payload: dict[str, object]) -> tuple:
-    """Decode an argument payload back into ``submit``-shaped positionals."""
+    """Decode an argument payload back into ``execute``-shaped positionals."""
     _check_op(op)
     if op == "save":
         return (_unpack_knowledge(payload["knowledge"]),)  # type: ignore[arg-type]
@@ -185,22 +185,14 @@ class ServiceDispatcher:
     The single choke point between "bytes from a peer" and the service:
     argument payloads are validated here, so a malformed request becomes
     a typed ``bad-request`` error frame instead of an arbitrary
-    exception (or a dead worker process).
-
-    ``run(op, *args)``, when given, runs each op on the calling thread
-    (a shard-group worker passes ``service.execute``); otherwise ops go
-    through the service's queue and ``timeout_s`` bounds the wait.
+    exception (or a dead worker process).  Every op runs on the calling
+    thread through ``service.execute``.
     """
 
-    def __init__(
-        self, service: "KnowledgeService", run: Callable[..., object] | None = None
-    ) -> None:
+    def __init__(self, service: "KnowledgeService") -> None:
         self.service = service
-        self._run = run
 
-    def call(
-        self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
-    ) -> dict[str, object]:
+    def call(self, op: str, payload: dict[str, object]) -> dict[str, object]:
         """Run one operation payload-to-payload; raises typed errors."""
         if op == "ping":
             return {}
@@ -229,18 +221,7 @@ class ServiceDispatcher:
             )
             error.wire_code = "bad-request"  # type: ignore[attr-defined]
             raise error from exc
-        if self._run is not None:
-            return encode_result(op, self._run(op, *args))
-        future = self.service.submit(op, *args)
-        try:
-            result = future.result(timeout=timeout_s)
-        except _FutureTimeoutError:
-            future.cancel()
-            raise DeadlineError(
-                f"service request {op!r} exceeded its "
-                f"{timeout_s:g}s client deadline"
-            ) from None
-        return encode_result(op, result)
+        return encode_result(op, self.service.execute(op, *args))
 
 
 class LocalTransport:
@@ -253,6 +234,10 @@ class LocalTransport:
     Exceptions propagate natively (no error-frame round trip): the
     classes and ``transient`` flags are identical to what the wire
     codec would reconstruct, with full local detail preserved.
+
+    An op runs to completion on the caller's thread, so ``timeout_s``
+    cannot cut it short: the client's deadline is checked before each
+    attempt instead.
     """
 
     def __init__(self, service: "KnowledgeService") -> None:
@@ -273,7 +258,7 @@ class LocalTransport:
         self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
     ) -> dict[str, object]:
         """Run one operation against the embedded service."""
-        return self.dispatcher.call(op, payload, timeout_s=timeout_s)
+        return self.dispatcher.call(op, payload)
 
     def close(self) -> None:
         """Close the embedded service (and its shards)."""

@@ -34,7 +34,7 @@ running server for per-worker pid/breaker/respawn state.
 
 ``--exercise`` drives deterministic round-robin read traffic through
 the client (same ids, same order every run) — a quick way to check the
-cache and queue behave before pointing real load at the store.
+cache behaves before pointing real load at the store.
 """
 
 from __future__ import annotations
@@ -79,14 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
              "existing stores are discovered from their manifest)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="queue worker threads of an embedded store (default 4); "
-             "refused with --listen, whose worker processes run each "
-             "request on its channel thread, and with knowledge+tcp:// URLs",
-    )
-    parser.add_argument(
         "--queue", type=int, default=None, metavar="N",
-        help="admission-queue bound of an embedded store (default 64); "
+        help="in-flight request cap of an embedded store (default 64); "
              "refused with --listen, which admits one request per worker "
              "channel, and with knowledge+tcp:// URLs",
     )
@@ -310,14 +304,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("error: --chaos only applies to a --listen server",
                   file=sys.stderr)
             return 2
-        sizing = {
-            name: value
-            for name, value in (("workers", args.workers), ("queue", args.queue))
-            if value is not None
-        }
+        sizing = {} if args.queue is None else {"queue": args.queue}
         if sizing and (args.listen is not None or is_tcp_url(args.store)):
-            print(f"error: --{next(iter(sizing))} sizes the embedded service's "
-                  "queue; a --listen server or knowledge+tcp:// store has none "
+            print("error: --queue sizes the embedded service's in-flight cap; "
+                  "a --listen server or knowledge+tcp:// store has none "
                   "(size a server with --worker-processes and --channels)",
                   file=sys.stderr)
             return 2

@@ -5,16 +5,16 @@ while ingestion keeps writing — the always-on store that corpus studies
 and LLM-driven diagnosis front-ends presume.  This module is that
 serving layer, embeddable in-process:
 
-* requests enter a **bounded queue** (admission control): when the
-  queue is full the service *sheds* the request with a typed
-  :class:`~repro.util.errors.ServiceOverloadError` instead of letting
-  callers pile onto a wedged SQLite file — overload degrades into
-  client backoff, never a deadlock.
-* a **worker pool** drains the queue (a shard-group worker process
-  calls ``execute`` on its channel threads instead).  Every shard access
-  happens under that shard's lock (SQLite's single-writer discipline),
-  so concurrency comes from spreading keys across shards and from the
-  result cache.
+* every request runs on the **caller's thread** (``execute``): the
+  in-process client's thread, or a shard-group worker's channel thread.
+  Every shard access happens under that shard's lock (SQLite's
+  single-writer discipline), so concurrency comes from spreading keys
+  across shards and from the result cache.
+* **admission control** is a bounded count of requests in flight: one
+  more than ``queue_size`` is *shed* at once with a typed
+  :class:`~repro.util.errors.ServiceOverloadError` instead of piling
+  onto a wedged SQLite file — overload degrades into client backoff,
+  never a deadlock.
 * reads go through an :class:`~repro.core.service.cache.EpochLRUCache`;
   every committed write bumps the owning shard's epoch, lazily evicting
   stale entries on their next lookup.  The cache holds the knowledge
@@ -26,7 +26,7 @@ serving layer, embeddable in-process:
   fail fast with a transient, typed error carrying the breaker's
   ``retry_after_s`` while its reads and every other shard keep serving.
 
-Every queue transition, shard latency and cache event is recorded in
+Every request outcome, shard latency and cache event is recorded in
 the attached :class:`~repro.core.metrics.MetricsRegistry` under the
 ``service.*`` families.
 """
@@ -34,10 +34,8 @@ the attached :class:`~repro.core.metrics.MetricsRegistry` under the
 from __future__ import annotations
 
 import json
-import queue
 import threading
 import time
-from concurrent.futures import Future
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.knowledge import Knowledge
@@ -61,22 +59,18 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 __all__ = ["KnowledgeService"]
 
-_STOP = object()  # worker-shutdown sentinel; requests are (op, args, future)
-
 
 class KnowledgeService:
     """Concurrent serving front for a :class:`KnowledgeShardMap`.
 
-    ``execute(op, *args)`` runs one request on the calling thread;
-    ``submit(op, *args)`` enqueues it and returns a
-    :class:`~concurrent.futures.Future`, and a full queue raises
+    ``execute(op, *args)`` runs one request on the calling thread.  At
+    most ``queue_size`` requests run at once; one more raises
     :class:`ServiceOverloadError` immediately (admission control).
     :class:`~repro.core.service.client.ServiceClient` wraps this with
     deterministic-jitter backoff and a blocking API.
 
-    The service starts its workers on the first ``submit`` and is a
-    context manager; ``close()`` drains the queue, stops the workers and
-    closes every shard.
+    The service starts no threads of its own and is a context manager;
+    ``close()`` closes every shard, and later requests are refused.
 
     Read results (``load``, ``fetch_many``, ``load_all``) are the very
     objects held by the read-through cache, shared with every later
@@ -91,14 +85,11 @@ class KnowledgeService:
         self,
         shard_map: KnowledgeShardMap,
         *,
-        workers: int = 4,
         queue_size: int = 64,
         cache_size: int = 128,
         metrics: "MetricsRegistry | None" = None,
         owned_shards: Sequence[int] | None = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if queue_size < 1:
             raise ConfigurationError(f"queue_size must be >= 1, got {queue_size}")
         self.shard_map = shard_map
@@ -120,9 +111,8 @@ class KnowledgeService:
         self.metrics = metrics if metrics is not None else shard_map.metrics
         self.queue_size = queue_size
         self.cache = EpochLRUCache(cache_size, metrics=self.metrics)
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
-        self._start_lock = threading.Lock()
-        self._started = False
+        self._admit_lock = threading.Lock()
+        self._in_flight = 0
         self._stats_lock = threading.Lock()
         self._closed = False
         self._ops = {
@@ -138,24 +128,35 @@ class KnowledgeService:
             "exists": self._op_exists,
             "scan": self._op_scan,
         }
-        if self.metrics is not None:
-            self._depth_gauge = self.metrics.gauge(
-                "service.queue_depth", "requests waiting in the service queue"
-            )
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"knowledge-service-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
 
     # ------------------------------------------------------------------
     # execution, admission + dispatch
     # ------------------------------------------------------------------
     def execute(self, op: str, *args: object) -> object:
-        """Run one request of a known ``op`` on the calling thread, with
-        the same request count and latency accounting as a queued one."""
-        run = self._ops[op]
+        """Run one request on the calling thread.
+
+        Raises :class:`ServiceOverloadError` when ``queue_size``
+        requests are already in flight — the caller is expected to back
+        off (the service client does, with deterministic jitter) rather
+        than block.
+        """
+        run = self._ops.get(op)
+        if run is None:
+            raise ServiceError(
+                f"unknown service operation {op!r}; known: {sorted(self._ops)}"
+            )
+        if self._closed:
+            raise ServiceError("knowledge service is closed")
+        with self._admit_lock:
+            admitted = self._in_flight < self.queue_size
+            if admitted:
+                self._in_flight += 1
+        if not admitted:
+            self._count_request(op, "shed")
+            raise ServiceOverloadError(
+                f"knowledge service at its in-flight cap ({self.queue_size} "
+                "request(s) running); back off and retry"
+            )
         start = time.perf_counter()
         try:
             result = run(*args)
@@ -164,68 +165,14 @@ class KnowledgeService:
             raise
         finally:
             self._observe_latency(op, time.perf_counter() - start)
+            with self._admit_lock:
+                self._in_flight -= 1
         self._count_request(op, "ok")
         return result
-
-    def submit(self, op: str, *args: object) -> "Future[object]":
-        """Enqueue one request; returns its future.
-
-        Raises :class:`ServiceOverloadError` when the bounded queue is
-        full — the caller is expected to back off (the service client
-        does, with deterministic jitter) rather than block.
-        """
-        if self._closed:
-            raise ServiceError("knowledge service is closed")
-        if op not in self._ops:
-            raise ServiceError(
-                f"unknown service operation {op!r}; known: {sorted(self._ops)}"
-            )
-        if not self._started:
-            with self._start_lock:  # a racing close() stops them or refuses
-                if self._closed:
-                    raise ServiceError("knowledge service is closed")
-                if not self._started:
-                    for thread in self._workers:
-                        thread.start()
-                    self._started = True
-        future: "Future[object]" = Future()
-        try:
-            self._queue.put_nowait((op, args, future))
-        except queue.Full:
-            self._count_request(op, "shed")
-            raise ServiceOverloadError(
-                f"service queue full ({self.queue_size} request(s) waiting); "
-                "back off and retry"
-            ) from None
-        self._note_depth()
-        return future
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _STOP:
-                    return
-                op, args, future = item  # type: ignore[misc]
-                self._note_depth()
-                if not future.set_running_or_notify_cancel():
-                    continue
-                try:
-                    result = self.execute(op, *args)
-                except BaseException as exc:  # noqa: BLE001 - delivered via future
-                    future.set_exception(exc)
-                else:
-                    future.set_result(result)
-            finally:
-                self._queue.task_done()
 
     # ------------------------------------------------------------------
     # metrics plumbing (exact under the stats lock)
     # ------------------------------------------------------------------
-    def _note_depth(self) -> None:
-        if self.metrics is not None:
-            self._depth_gauge.set(self._queue.qsize())
-
     def _count_request(self, op: str, outcome: str) -> None:
         if self.metrics is not None:
             with self._stats_lock:
@@ -444,7 +391,7 @@ class KnowledgeService:
         return present
 
     # ------------------------------------------------------------------
-    # administration (runs in the caller's thread, not through the queue)
+    # administration (no admission control, no request accounting)
     # ------------------------------------------------------------------
     def warm_up(self, limit: int | None = None) -> int:
         """Preload up to ``limit`` knowledge objects into the cache.
@@ -497,16 +444,11 @@ class KnowledgeService:
         return self._closed
 
     def close(self) -> None:
-        """Drain the queue, stop the workers and close every shard."""
-        with self._start_lock:
+        """Close every shard; later requests are refused."""
+        with self._admit_lock:
             if self._closed:
                 return
             self._closed = True
-        if self._started:
-            for _ in self._workers:
-                self._queue.put(_STOP)
-            for thread in self._workers:
-                thread.join()
         self.shard_map.close()
 
     def __enter__(self) -> "KnowledgeService":

@@ -12,8 +12,8 @@ The parent hands the worker one or more ``socketpair`` channel file
 descriptors on the command line (``--fds``); each channel speaks the
 same ``repro.wire/v1`` frames as the public TCP port, one in-flight
 request per channel.  The channel thread that reads a request runs it
-(``KnowledgeService.execute``); the service's queue and thread pool
-never start, because the front end's channel pool is the admission
+(``KnowledgeService.execute``), and the service's in-flight cap is the
+channel count, so the front end's channel pool is the admission
 control.  The worker answers *every* failure — malformed payload,
 unknown op, wedged shard — with a typed error frame and keeps serving
 the channel; nothing a peer sends can kill the process.  EOF on all
@@ -151,9 +151,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(options.store, metrics=metrics)
     service = KnowledgeService(
-        shard_map, cache_size=options.cache, metrics=metrics, owned_shards=owned
+        shard_map, queue_size=max(1, len(channels)), cache_size=options.cache,
+        metrics=metrics, owned_shards=owned,
     )
-    dispatcher = ServiceDispatcher(service, run=service.execute)
+    dispatcher = ServiceDispatcher(service)
     threads = [
         threading.Thread(
             target=serve_channel,

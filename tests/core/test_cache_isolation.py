@@ -67,7 +67,7 @@ def reader(request, tmp_path):
     """``(client, cache_hits)`` for an embedded service or a TCP server."""
     if request.param == "embedded":
         shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2)
-        service = KnowledgeService(shard_map, workers=2, cache_size=32)
+        service = KnowledgeService(shard_map, cache_size=32)
         client = ServiceClient(service, sleep=lambda s: None)
         yield client, lambda: service.cache.hits
         client.close()

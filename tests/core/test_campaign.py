@@ -472,7 +472,7 @@ class TestKillAndResume:
     def test_resume_through_service_backend(self, tmp_path, fault_seed):
         rng = stream(fault_seed, "campaign-service-crash")
         k = int(rng.random() * 10) + 1
-        url = f"knowledge+service://{tmp_path}/svcstore?shards=2&workers=2"
+        url = f"knowledge+service://{tmp_path}/svcstore?shards=2"
         _run_crash_resume(tmp_path, crash_at=k, backend=url)
 
     def test_resume_through_tcp_backend(self, tmp_path, fault_seed):

@@ -205,7 +205,7 @@ class TestExploreDiff:
 
 
 class TestServeSizingFlags:
-    @pytest.mark.parametrize("flag", ["--workers", "--queue"])
+    @pytest.mark.parametrize("flag", ["--queue"])
     @pytest.mark.parametrize("target", ["listen", "tcp-url"])
     def test_queue_flags_refused_where_no_queue_exists(self, tmp_path, capsys,
                                                        flag, target):
@@ -217,12 +217,12 @@ class TestServeSizingFlags:
             argv = ["knowledge+tcp://127.0.0.1:9/"]
         assert serve_main(argv + [flag, "3"]) == 2
         err = capsys.readouterr().err
-        assert f"error: {flag} sizes the embedded service's queue" in err
+        assert f"error: {flag} sizes the embedded service's in-flight cap" in err
         assert not (tmp_path / "store").exists()  # refused before any work
 
     @pytest.mark.parametrize("flags,sizing", [
-        ([], (4, 64)),
-        (["--workers", "3", "--queue", "5"], (3, 5)),
+        ([], (64,)),
+        (["--queue", "5"], (5,)),
     ])
     def test_queue_flags_size_an_embedded_store(self, tmp_path, monkeypatch,
                                                 flags, sizing):
@@ -232,7 +232,7 @@ class TestServeSizingFlags:
 
         def spy(*args, **kwargs):
             service = real_open(*args, **kwargs)
-            opened.append((len(service._workers), service.queue_size))
+            opened.append((service.queue_size,))
             return service
 
         real_open = serve.open_service

@@ -23,7 +23,9 @@ from repro.core.service.ops import (
     encode_args,
     encode_result,
 )
-from repro.util.errors import ServiceError
+from repro.core.knowledge import Knowledge, KnowledgeSummary
+from repro.core.service.client import ServiceClient
+from repro.util.errors import ServiceError, WireProtocolError
 from tests.core.test_transfer_codec import ints, knowledge_objects, scalars, text
 
 
@@ -119,3 +121,37 @@ def test_unknown_ops_are_refused(op):
     for codec in (encode_args, decode_args, encode_result, decode_result):
         with pytest.raises(ServiceError, match="unknown service operation"):
             codec(op, {})
+
+
+class _ReplyTransport:
+    """Answers every call with one canned result payload."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def call(self, op, payload, *, timeout_s=None):
+        return json.loads(json.dumps(self.reply))
+
+    def close(self):
+        pass
+
+
+def test_client_reports_a_mangled_knowledge_reply_as_bad_frame():
+    # Still valid JSON, but the knowledge codec cannot rebuild the
+    # object: a protocol fault, not a persistence error of the store.
+    knowledge = Knowledge(
+        "ior", command="ior -w", api="POSIX", num_nodes=1, num_tasks=2,
+        summaries=[KnowledgeSummary(
+            operation="write", api="POSIX", bw_max=2.0, bw_min=1.0,
+            bw_mean=1.5, bw_stddev=0.5, ops_max=2.0, ops_min=1.0,
+            ops_mean=1.5, ops_stddev=0.5, iterations=2,
+        )],
+    )
+    knowledge.knowledge_id = 5
+    reply = encode_result("load", knowledge)
+    summary = reply["knowledge"]["data"]["summaries"][0]
+    summary["bw_avg"] = summary.pop("bw_mean")
+    client = ServiceClient(_ReplyTransport(reply), sleep=lambda s: None)
+    with pytest.raises(WireProtocolError) as excinfo:
+        client.load(5)
+    assert excinfo.value.wire_code == "bad-frame"

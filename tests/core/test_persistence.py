@@ -138,6 +138,25 @@ class TestDatabase:
         with KnowledgeDatabase(target) as db:
             assert KnowledgeRepository(db).list_ids() == [1]
 
+    def test_failed_transaction_commit_rolls_back(self, tmp_path):
+        # A reader's shared lock makes the final commit fail; the failed
+        # save must not stay pending for the next commit() to make durable.
+        target = tmp_path / "knowledge.db"
+        with KnowledgeDatabase(target) as db:
+            db.execute("PRAGMA busy_timeout = 100")
+            repo = KnowledgeRepository(db)
+            reader = sqlite3.connect(target)
+            reader.execute("BEGIN")
+            reader.execute("SELECT COUNT(*) FROM performances").fetchall()
+            with pytest.raises(PersistenceError, match="commit"):
+                with db.transaction():
+                    repo.save(make_knowledge())
+            reader.rollback()
+            reader.close()
+            assert not db.conn.in_transaction
+            db.commit()
+            assert repo.list_ids() == []
+
     def test_bad_table_name(self, db):
         with pytest.raises(PersistenceError):
             db.table_count("evil; DROP")

@@ -8,7 +8,9 @@ on both sides), to 1e-9 relative for mean/stddev (float summation
 order) — whatever the backing transport.
 """
 
+import json
 import math
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from repro.core.knowledge import Knowledge, KnowledgeResult, KnowledgeSummary
 from repro.core.persistence.database import KnowledgeDatabase
 from repro.core.persistence.repository import KnowledgeRepository
 from repro.core.persistence.scan import (
+    SKETCH_GAMMA,
+    SQL_VARIABLE_CHUNK,
     AggregateState,
     PercentileSketch,
     ScanQuery,
@@ -323,6 +327,100 @@ class TestRowLoopRegressions:
             assert result.single()["count"] == 1
             assert result.single()["mean"] == pytest.approx(100.0)
             assert_results_equal(result, fold_scan(query, repo.load_all()))
+
+
+# ----------------------------------------------------------------------
+# bucket edges: the SQL sketch bucket against PercentileSketch._bucket
+# ----------------------------------------------------------------------
+def _edge_values():
+    """Values on sketch bucket edges, their float neighbours, zeros and
+    negatives."""
+    values = [0.0, -0.0, 0.0]
+    for k in (-700, -37, -1, 0, 1, 2, 35, 36, 350):
+        edge = SKETCH_GAMMA**k
+        for v in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
+            values += [v, -v]
+    return values
+
+
+class _NoMathConnection(sqlite3.Connection):
+    """A connection whose SQLite seems built without math functions."""
+
+    def execute(self, sql, *args):
+        if sql == "SELECT ln(1)":
+            raise sqlite3.OperationalError("no such function: ln")
+        return super().execute(sql, *args)
+
+
+@pytest.fixture(params=["native", "python"])
+def edge_repo(request, tmp_path, monkeypatch):
+    """A repository of bucket-edge rows, on SQLite's own ``ln``/``floor``
+    or on the Python fallback the database registers without them."""
+    if request.param == "python":
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *args, **kwargs: real_connect(*args, factory=_NoMathConnection, **kwargs),
+        )
+    with KnowledgeDatabase(tmp_path / "edges.db") as db:
+        if request.param == "python":
+            with pytest.raises(sqlite3.OperationalError):
+                db.conn.execute("SELECT ln(0)")  # math.log, not SQLite's NULL
+        else:
+            assert db.conn.execute("SELECT ln(0)").fetchone()[0] is None
+        repo = KnowledgeRepository(db)
+        values = _edge_values()
+        repo.save_many([
+            make_knowledge(i, num_nodes=1 + i % 3, bw=v,
+                           parameters={"edge": "yes"})
+            for i, v in enumerate(values)
+        ])
+        # Enough tagged filler that the parameter filter spans id chunks.
+        repo.save_many([
+            make_knowledge(10_000 + i, num_nodes=4, bw=SKETCH_GAMMA ** (i % 90),
+                           parameters={"edge": "yes" if i % 4 else "no"})
+            for i in range(2 * SQL_VARIABLE_CHUNK)
+        ])
+        yield repo
+
+
+EDGE_QUERIES = [
+    ScanQuery(percentiles=tuple(float(q) for q in range(1, 100))),
+    ScanQuery(group_by=("num_nodes",), percentiles=(1.0, 10.0, 50.0, 90.0, 99.0)),
+    ScanQuery(parameter=("edge", "yes"), group_by=("num_nodes",),
+              percentiles=tuple(float(q) for q in range(1, 100))),
+    ScanQuery(parameter=("edge", "yes")),
+]
+
+
+class TestBucketEdges:
+    @pytest.mark.parametrize("query", EDGE_QUERIES,
+                             ids=["all", "by-nodes", "param-chunked", "param-plain"])
+    def test_bucketed_scan_equals_fold(self, edge_repo, query):
+        objects = edge_repo.load_all()
+        if query.parameter is not None:
+            assert len(edge_repo.find_ids_by_parameter(*query.parameter)) > \
+                SQL_VARIABLE_CHUNK
+        assert_results_equal(edge_repo.scan(query), fold_scan(query, objects))
+        # Every bucket, not just the sampled ranks: the SQL sketch holds
+        # exactly the counts PercentileSketch.add gives each value.
+        if query.wants_sketch:
+            expected: dict[tuple, PercentileSketch] = {}
+            for knowledge in objects:
+                if query.parameter and knowledge.parameters.get("edge") != "yes":
+                    continue
+                key = tuple(getattr(knowledge, d) for d in query.group_by)
+                expected.setdefault(key, PercentileSketch()).add(
+                    knowledge.summaries[0].bw_mean
+                )
+            partials = edge_repo.scan_partial(query)
+            assert len(partials) == len(expected)
+            assert any(s.zeros for s in expected.values())
+            assert any(s.neg for s in expected.values())
+            for key, payload in partials.items():
+                got = AggregateState.from_payload(payload).sketch
+                want = expected[tuple(json.loads(key))]
+                assert (got.zeros, got.pos, got.neg) == (want.zeros, want.pos, want.neg)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the knowledge service (shards, queue, cache, client).
+"""Tests for the knowledge service (shards, admission, cache, client).
 
 Covers the serving-layer contract: deterministic shard placement,
 global-id routing, read-through caching with epoch invalidation,
@@ -9,6 +9,7 @@ CLIs.  The ``stress``-marked soak at the bottom is the acceptance run:
 16 client threads over 2 shards, zero lost or duplicated rows.
 """
 
+import sys
 import threading
 import time
 
@@ -65,8 +66,7 @@ def make_knowledge(marker: int, host: str = "nodeA", benchmark: str = "ior") -> 
 def service(tmp_path):
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2, metrics=metrics)
-    svc = KnowledgeService(shard_map, workers=4, queue_size=64, cache_size=32,
-                           metrics=metrics)
+    svc = KnowledgeService(shard_map, queue_size=64, cache_size=32, metrics=metrics)
     yield svc
     svc.close()
 
@@ -152,7 +152,7 @@ def test_parse_service_url_rejects_bad_input():
 
 
 def test_open_service_from_url(tmp_path):
-    url = f"knowledge+service://{tmp_path}/store?shards=3&workers=2&queue=8&cache=16"
+    url = f"knowledge+service://{tmp_path}/store?shards=3&queue=8&cache=16"
     with open_service(url) as svc:
         assert svc.shard_map.num_shards == 3
         assert svc.queue_size == 8
@@ -238,7 +238,7 @@ def test_epoch_invalidation_lands_in_metrics(service, client):
 
 def test_cache_capacity_eviction(tmp_path):
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, workers=1, cache_size=2) as svc:
+    with KnowledgeService(shard_map, cache_size=2) as svc:
         client = ServiceClient(svc, sleep=lambda s: None)
         ids = [client.save(make_knowledge(i, host=f"n{i}")) for i in range(3)]
         for gid in ids:
@@ -248,7 +248,7 @@ def test_cache_capacity_eviction(tmp_path):
 
 def test_cache_disabled_when_capacity_zero(tmp_path):
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, workers=1, cache_size=0) as svc:
+    with KnowledgeService(shard_map, cache_size=0) as svc:
         client = ServiceClient(svc, sleep=lambda s: None)
         gid = client.save(make_knowledge(1))
         client.load(gid)
@@ -275,32 +275,47 @@ def test_warm_up_preloads_cache(tmp_path):
 # ----------------------------------------------------------------------
 # admission control + client backoff
 # ----------------------------------------------------------------------
-def _flood_until_overload(service, gid, max_submits=50):
-    """Fill the queue behind a blocked worker; returns pending futures."""
-    futures = []
-    with pytest.raises(ServiceOverloadError):
-        for _ in range(max_submits):
-            futures.append(service.submit("load", gid))
-    return futures
+def _fill_in_flight_cap(service, op, *args):
+    """Start ``queue_size`` threads running ``op`` and wait until every
+    one is in flight, blocked on a shard lock the caller holds; returns
+    the threads and the list their results land in."""
+    results: list[object] = []
+
+    def run() -> None:
+        results.append(service.execute(op, *args))
+
+    threads = [threading.Thread(target=run, name=f"cap-filler-{i}", daemon=True)
+               for i in range(service.queue_size)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 10
+    while service._in_flight < service.queue_size:
+        assert time.monotonic() < deadline, "cap fillers never got in flight"
+        time.sleep(0.001)
+    return threads, results
 
 
 @pytest.mark.timeout(30)
 def test_overload_sheds_with_typed_error(tmp_path):
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1, metrics=metrics)
-    with KnowledgeService(shard_map, workers=1, queue_size=2, cache_size=0,
+    with KnowledgeService(shard_map, queue_size=2, cache_size=0,
                           metrics=metrics) as svc:
         client = ServiceClient(svc, sleep=lambda s: None)
         gid = client.save(make_knowledge(1))
         shard = shard_map.shards[0]
         shard.lock.acquire()
         try:
-            futures = _flood_until_overload(svc, gid)
+            threads, results = _fill_in_flight_cap(svc, "load", gid)
+            with pytest.raises(ServiceOverloadError):
+                svc.execute("load", gid)
         finally:
             shard.lock.release()
         # Never a hang: every admitted request completes once unblocked.
-        for future in futures:
-            assert future.result(timeout=10).parameters["marker"] == 1
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [k.parameters["marker"] for k in results] == [1, 1]
         snap = metrics.snapshot()
         shed = [
             row["value"]
@@ -313,7 +328,7 @@ def test_overload_sheds_with_typed_error(tmp_path):
 @pytest.mark.timeout(30)
 def test_client_backs_off_and_recovers(tmp_path):
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, workers=1, queue_size=1, cache_size=0) as svc:
+    with KnowledgeService(shard_map, queue_size=1, cache_size=0) as svc:
         seed_client = ServiceClient(svc, sleep=lambda s: None)
         gid = seed_client.save(make_knowledge(1))
         shard = shard_map.shards[0]
@@ -328,16 +343,63 @@ def test_client_backs_off_and_recovers(tmp_path):
                 shard.lock.release()  # unwedge the shard on the first backoff
             except RuntimeError:
                 pass  # already released on an earlier attempt
-            time.sleep(min(delay, 0.05))  # let the worker drain the queue
+            for thread in threads:
+                thread.join(timeout=10)  # let the in-flight request finish
 
         client = ServiceClient(svc, retry_policy=policy, sleep=sleep_and_release)
         shard.lock.acquire()
-        _flood_until_overload(svc, gid)
-        # The client sees the full queue, backs off once (deterministic
+        threads, _ = _fill_in_flight_cap(svc, "load", gid)
+        # The client sees the cap full, backs off once (deterministic
         # jitter), the sleep hook unwedges the shard, and the retry lands.
         result = client.load(gid)
         assert result.parameters["marker"] == 1
         assert slept and slept[0] == pytest.approx(policy.delay_s(1))
+
+
+@pytest.mark.timeout(60)
+def test_in_flight_count_survives_thread_contention(tmp_path):
+    # More threads than the cap and than cores, switching often: a lost
+    # update to the in-flight count would leave it non-zero or let more
+    # than the cap run at once.
+    metrics = MetricsRegistry()
+    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1, metrics=metrics)
+    with KnowledgeService(shard_map, queue_size=3, metrics=metrics) as svc:
+        svc.execute("save", make_knowledge(1))
+        peak = [0]
+        count = svc._op_count
+
+        def observed_count(benchmark=None):
+            peak[0] = max(peak[0], svc._in_flight)
+            return count(benchmark)
+
+        svc._ops["count"] = observed_count
+        outcomes: list[str] = []
+
+        def hammer() -> None:
+            for _ in range(150):
+                try:
+                    svc.execute("count", None)
+                    outcomes.append("ok")
+                except ServiceOverloadError:
+                    outcomes.append("shed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 8 * 150
+        assert svc._in_flight == 0
+        assert 1 <= peak[0] <= svc.queue_size
+        requests, _ = _accounting(metrics)
+        assert requests[("count", "ok")] == outcomes.count("ok")
+        assert requests.get(("count", "shed"), 0) == outcomes.count("shed")
 
 
 def test_backoff_schedule_is_deterministic():
@@ -347,13 +409,27 @@ def test_backoff_schedule_is_deterministic():
 
 
 def test_submit_rejects_unknown_op_and_closed_service(tmp_path):
+    # Every request is submitted through ``execute``, the service's one
+    # entry point; it refuses an op it does not know and a closed service.
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    svc = KnowledgeService(shard_map, workers=1)
+    svc = KnowledgeService(shard_map, queue_size=1)
     with pytest.raises(ServiceError, match="unknown service operation"):
-        svc.submit("drop_tables")
+        svc.execute("drop_tables")
     svc.close()
+    svc.close()  # idempotent
     with pytest.raises(ServiceError, match="closed"):
-        svc.submit("count", None)
+        svc.execute("count", None)
+
+
+def test_close_without_submit_needs_no_workers(tmp_path):
+    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
+    svc = KnowledgeService(shard_map, queue_size=1)
+    svc.close()  # nothing ever ran: nothing to stop, no hang
+    assert svc.closed
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("knowledge-service-")]
+    with pytest.raises(ServiceError, match="closed"):
+        svc.execute("count", None)
 
 
 def _accounting(metrics: MetricsRegistry) -> tuple[dict, dict]:
@@ -371,17 +447,19 @@ def _accounting(metrics: MetricsRegistry) -> tuple[dict, dict]:
     return requests, samples
 
 
-def test_execute_and_submit_keep_the_same_accounting(tmp_path):
+def test_execute_and_client_keep_the_same_accounting(tmp_path):
     def drive(run) -> tuple[dict, dict]:
         metrics = MetricsRegistry()
         shard_map = KnowledgeShardMap(tmp_path / f"store-{run}", num_shards=2,
                                       metrics=metrics)
-        with KnowledgeService(shard_map, workers=2, metrics=metrics) as svc:
+        with KnowledgeService(shard_map, metrics=metrics) as svc:
             if run == "execute":
                 call = svc.execute
             else:
+                client = ServiceClient(svc, sleep=lambda s: None)
+
                 def call(op, *args):
-                    return svc.submit(op, *args).result(timeout=10)
+                    return getattr(client, op)(*args)
             gid = call("save", make_knowledge(1))
             ids = call("save_many", [make_knowledge(m, host=f"n{m}") for m in range(2, 6)])
             assert [k.parameters["marker"] for k in call("fetch_many", ids)] == [2, 3, 4, 5]
@@ -392,35 +470,27 @@ def test_execute_and_submit_keep_the_same_accounting(tmp_path):
             assert call("exists", gid) is False
         return _accounting(metrics)
 
-    executed, queued = drive("execute"), drive("submit")
-    assert executed == queued
+    executed, served = drive("execute"), drive("client")
+    assert executed == served
     requests, samples = executed
     assert requests[("load", "error")] == 1
     assert samples["load"] == 1 and samples["save_many"] == 1
 
 
-def test_queue_workers_start_on_first_submit(tmp_path):
+def test_embedded_service_starts_no_threads(tmp_path):
     def service_threads() -> list[str]:
         return [t.name for t in threading.enumerate()
                 if t.name.startswith("knowledge-service-")]
 
-    before = service_threads()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, workers=3) as svc:
+    with KnowledgeService(shard_map) as svc:
         gid = svc.execute("save", make_knowledge(1))
         assert svc.execute("load", gid).parameters["marker"] == 1
-        assert service_threads() == before  # inline ops start no pool
-        assert svc.submit("count", None).result(timeout=10) == 1
-        assert len(service_threads()) == len(before) + 3
-    assert service_threads() == before  # close() stopped them
-
-
-def test_close_without_submit_needs_no_workers(tmp_path):
-    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    svc = KnowledgeService(shard_map, workers=2, queue_size=1)
-    svc.close()  # never started: no sentinels to queue, no hang
-    with pytest.raises(ServiceError, match="closed"):
-        svc.submit("count", None)
+        client = ServiceClient(svc, sleep=lambda s: None)
+        assert client.count() == 1
+        assert client.load(gid).parameters["marker"] == 1
+        assert service_threads() == []
+    assert service_threads() == []
 
 
 def test_group_by_owner_keeps_positions_in_sorted_owner_order():
@@ -451,7 +521,7 @@ def test_wedged_shard_quarantines_and_heals(tmp_path):
 
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2,
                                   breaker_factory=breaker_factory)
-    with KnowledgeService(shard_map, workers=2, cache_size=0) as svc:
+    with KnowledgeService(shard_map, cache_size=0) as svc:
         client = ServiceClient(svc, sleep=lambda s: None)
         healthy_gid = client.save(make_knowledge(1, host="other"))
         target = shard_map.shard_for(make_knowledge(2, host="wedge"))
@@ -591,7 +661,7 @@ def test_sixteen_thread_soak_two_shards(tmp_path, fault_seed):
     """
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2, metrics=metrics)
-    svc = KnowledgeService(shard_map, workers=4, queue_size=256, cache_size=64,
+    svc = KnowledgeService(shard_map, queue_size=32, cache_size=64,
                            metrics=metrics)
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -672,11 +742,14 @@ def test_sixteen_thread_soak_two_shards(tmp_path, fault_seed):
         shard = shard_map.shards[0]
         shard.lock.acquire()
         try:
+            fillers, _ = _fill_in_flight_cap(svc, "count", None)
             with pytest.raises(ServiceOverloadError):
-                for _ in range(svc.queue_size + len(svc._workers) + 2):
-                    svc.submit("count", None)
+                svc.execute("count", None)
         finally:
             shard.lock.release()
+        for thread in fillers:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in fillers)
         overloads = sum(
             row["value"]
             for row in metrics.snapshot()["counters"]["service.requests_total"]["series"]
