@@ -150,14 +150,11 @@ def run_service_bench(
     batch: int = 16,
     shards: int = 2,
     worker_processes: int = 2,
-    cache_size: int = 32,
 ) -> dict:
     """Benchmark the knowledge service in-process and over TCP.
 
     ``root`` is a scratch directory; two independent stores are created
     under it (one per mode) so neither mode warms the other's shards.
-    The small default cache keeps most loads hitting SQLite — the
-    interesting path — rather than measuring the LRU dict.
     """
     config = {
         "objects": objects,
@@ -165,12 +162,11 @@ def run_service_bench(
         "batch": batch,
         "shards": shards,
         "worker_processes": worker_processes,
-        "cache_size": cache_size,
     }
     modes: dict[str, dict] = {}
 
     shard_map = KnowledgeShardMap(f"{root}/in_process", num_shards=shards)
-    service = KnowledgeService(shard_map, cache_size=cache_size)
+    service = KnowledgeService(shard_map)
     with ServiceClient(service) as client:
         modes["in_process"] = _bench_client(
             client, objects=objects, reads=reads, batch=batch
@@ -183,7 +179,6 @@ def run_service_bench(
         f"{root}/tcp",
         shards=shards,
         worker_processes=worker_processes,
-        cache_size=cache_size,
         metrics=metrics,
         supervisor_poll_s=0.02,
     )

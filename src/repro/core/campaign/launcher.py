@@ -127,10 +127,11 @@ class _DatabaseSink:
 class _ServiceSink:
     """``knowledge+service://`` or ``knowledge+tcp://`` backend.
 
-    Both are thread-safe: the embedded service serialises through its
-    queue, and the TCP client pools connections per request.  A remote
-    URL lets a campaign drain against a ``repro-serve --listen`` server
-    in another process — launcher and store no longer share a fate.
+    Both are thread-safe: the embedded service runs each request on the
+    caller's thread under the owning shard's lock, and the TCP client
+    pools connections per request.  A remote URL lets a campaign drain
+    against a ``repro-serve --listen`` server in another process —
+    launcher and store no longer share a fate.
     """
 
     def __init__(self, url: str, *, metrics: "MetricsRegistry | None" = None) -> None:
@@ -578,7 +579,7 @@ class Launcher:
                 if self.breaker is not None and not self.breaker.allow():
                     # Hand the job back untouched (no retry budget
                     # spent) and back off while the breaker cools down.
-                    self.store.release(job.job_id)
+                    self.store.release(job.job_id, owner)
                     self.sleep(self.poll_s)
                     continue
                 self._execute(job, owner)

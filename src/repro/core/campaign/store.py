@@ -914,15 +914,21 @@ class CampaignStore:
             job_id, READY, sets={"lease_owner": None, "lease_expires_at": None}
         )
 
-    def release(self, job_id: int) -> JobRow:
+    def release(self, job_id: int, owner: str) -> JobRow:
         """Give an acquired job back untouched (RUNNING → READY).
 
         The launcher releases a job it acquired but never started —
         e.g. when the circuit breaker rejects the slot — so the attempt
         counter is handed back too: a release spends no retry budget.
+        Only the lease holder ``owner`` may release: a launcher whose
+        lease was stolen gets :class:`LeaseLostError` instead of
+        dropping the new holder's lease and refunding its attempt.
         """
         with self._lock:
-            self._transition_or_raise(job_id, RESTARTING, sets={"error": "released"})
+            self._transition_or_raise(
+                job_id, RESTARTING, sets={"error": "released"},
+                guard={"lease_owner": owner},
+            )
             return self._transition_or_raise(
                 job_id,
                 READY,

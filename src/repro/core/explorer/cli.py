@@ -15,7 +15,7 @@ Usage::
 
 A ``knowledge+service://`` URL (or the ``--service`` flag on a store
 directory) routes every read through the sharded knowledge service —
-same commands, cache-fronted concurrent store.  A ``knowledge+tcp://``
+same commands, sharded concurrent store.  A ``knowledge+tcp://``
 URL reaches a ``repro-serve --listen`` server in another process or on
 another host; the explorer commands are identical.
 """

@@ -468,7 +468,7 @@ def _counter_total(snapshot: Mapping, name: str, **match: str) -> float:
 
 
 def _service_section(snapshot: Mapping) -> list[str]:
-    """The knowledge-service digest: cache hit-rate, requests, shed load.
+    """The knowledge-service digest: requests, shed load, transport.
 
     Rendered only when the snapshot carries ``service.*`` families —
     i.e. the run actually went through the serving layer.
@@ -480,12 +480,6 @@ def _service_section(snapshot: Mapping) -> list[str]:
     ]
     if not any(name.startswith("service.") for name in names):
         return []
-    hits = _counter_total(snapshot, "service.cache_hits_total")
-    misses = _counter_total(snapshot, "service.cache_misses_total")
-    lookups = hits + misses
-    hit_rate = hits / lookups if lookups else 0.0
-    stale = _counter_total(snapshot, "service.cache_evictions_total", reason="stale")
-    capacity = _counter_total(snapshot, "service.cache_evictions_total", reason="capacity")
     shed = _counter_total(snapshot, "service.requests_total", outcome="shed")
     served = _counter_total(snapshot, "service.requests_total", outcome="ok")
     errors = _counter_total(snapshot, "service.requests_total", outcome="error")
@@ -494,10 +488,6 @@ def _service_section(snapshot: Mapping) -> list[str]:
         "",
         title,
         "-" * len(title),
-        f"  cache hit rate   {hit_rate:.1%} "
-        f"({_fmt_value(hits)} hit(s) / {_fmt_value(lookups)} lookup(s))",
-        f"  cache evictions  {_fmt_value(stale)} stale (epoch), "
-        f"{_fmt_value(capacity)} capacity",
         f"  requests         {_fmt_value(served)} ok, {_fmt_value(errors)} error(s), "
         f"{_fmt_value(shed)} shed (overload)",
     ]

@@ -509,8 +509,8 @@ class KnowledgeRepository:
     def count(self, benchmark: str | None = None) -> int:
         """Number of stored knowledge objects (``SELECT COUNT``, no rows).
 
-        The fast path for cache warm-up and summary headers: counting a
-        large knowledge base must not deserialise it.
+        The fast path for summary headers: counting a large knowledge
+        base must not deserialise it.
         """
         if benchmark is None:
             row = self.db.execute("SELECT COUNT(*) AS n FROM performances").fetchone()

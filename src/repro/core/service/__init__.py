@@ -1,19 +1,17 @@
-"""Knowledge service: concurrent, sharded, cache-fronted serving layer.
+"""Knowledge service: concurrent, sharded serving layer.
 
 The serving story for the Phase-III knowledge base (§V-C "locally or
 remotely"): a :class:`KnowledgeShardMap` partitions knowledge across
 independent SQLite shards behind a discovery manifest, a
-:class:`KnowledgeService` fronts them with a bounded in-flight cap and
-an epoch-invalidated LRU cache, and a :class:`ServiceClient` gives the
-explorer and usage modules the blocking repository-shaped API they
-already speak — embedded through ``knowledge+service://`` URLs, or
+:class:`KnowledgeService` fronts them with a bounded in-flight cap, and
+a :class:`ServiceClient` gives the explorer and usage modules the
+blocking repository-shaped API they already speak — embedded through ``knowledge+service://`` URLs, or
 across processes and hosts through ``knowledge+tcp://`` against a
 :class:`KnowledgeServer` (``repro-serve --listen``) whose shard groups
 run in separate worker processes speaking the versioned
 ``repro.wire/v1`` protocol.
 """
 
-from repro.core.service.cache import EpochLRUCache
 from repro.core.service.chaos import (
     ChaosPolicy,
     ChaosProxy,
@@ -60,7 +58,6 @@ __all__ = [
     "ChaosPolicy",
     "ChaosProxy",
     "CrashLoopedHandle",
-    "EpochLRUCache",
     "KnowledgeServer",
     "KnowledgeShard",
     "KnowledgeShardMap",

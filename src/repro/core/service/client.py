@@ -4,7 +4,7 @@ The explorer and usage modules should not care whether knowledge comes
 from one local SQLite file, an in-process sharded service or a server
 on another host — §V-C's "local or remote" choice is a URL::
 
-    knowledge+service:///var/lib/repro/store?shards=4&queue=64&cache=256
+    knowledge+service:///var/lib/repro/store?shards=4&queue=64
     knowledge+tcp://db-node:9477/?pool=4&timeout_ms=30000
 
 Both flavours run the same code path: :class:`ServiceClient` encodes
@@ -73,7 +73,7 @@ TCP_URL_SCHEME = "knowledge+tcp"
 
 #: URL query parameters understood by :func:`parse_service_url`
 #: (``queue`` is the embedded service's in-flight request cap).
-_URL_OPTIONS = ("shards", "queue", "cache")
+_URL_OPTIONS = ("shards", "queue")
 
 #: URL query parameters understood by :func:`parse_tcp_url`.
 _TCP_URL_OPTIONS = ("pool", "timeout_ms", "connect_timeout_ms")
@@ -179,7 +179,6 @@ def open_service(
     metrics: "MetricsRegistry | None" = None,
     shards: int | None = None,
     queue: int = 64,
-    cache: int = 128,
 ) -> KnowledgeService:
     """Open (or create) an embedded knowledge service from a URL or path.
 
@@ -199,7 +198,6 @@ def open_service(
     return KnowledgeService(
         shard_map,
         queue_size=options.get("queue", queue),
-        cache_size=options.get("cache", cache),
         metrics=metrics,
     )
 
@@ -392,7 +390,7 @@ class ServiceClient:
         return self._call("list_ids", benchmark)  # type: ignore[return-value]
 
     def find_ids_by_parameter(self, key: str, value: str) -> list[int]:
-        """Global ids whose ``parameters[key] == value`` (uncached)."""
+        """Global ids whose ``parameters[key] == value``."""
         return self._call("find_by_parameter", key, value)  # type: ignore[return-value]
 
     def count(self, benchmark: str | None = None) -> int:

@@ -4,8 +4,8 @@ Operator console for the sharded knowledge service, in three modes::
 
     # embedded administration (no daemon)
     repro-serve /var/lib/repro/store --shards 4
-    repro-serve /var/lib/repro/store --ingest runs.json --warm-up
-    repro-serve 'knowledge+service:///var/lib/repro/store?cache=256' --list
+    repro-serve /var/lib/repro/store --ingest runs.json
+    repro-serve 'knowledge+service:///var/lib/repro/store?queue=16' --list
     repro-serve /var/lib/repro/store --rebalance 8
     repro-serve /var/lib/repro/store --exercise 200 --metrics-json m.json
 
@@ -34,7 +34,7 @@ running server for per-worker pid/breaker/respawn state.
 
 ``--exercise`` drives deterministic round-robin read traffic through
 the client (same ids, same order every run) — a quick way to check the
-cache behaves before pointing real load at the store.
+store answers before pointing real load at it.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
              "refused with --listen, which admits one request per worker "
              "channel, and with knowledge+tcp:// URLs",
     )
-    parser.add_argument("--cache", type=int, default=128, help="result-cache capacity")
     parser.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="serve the store over TCP (repro.wire/v1); port 0 picks a free port",
@@ -129,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="import knowledge from a repro-knowledge JSON file (repeatable)",
     )
     parser.add_argument(
-        "--warm-up", action="store_true", help="preload the result cache"
-    )
-    parser.add_argument(
         "--list", action="store_true", help="print the shard manifest and counts"
     )
     parser.add_argument(
@@ -168,12 +164,7 @@ def _exercise(client: ServiceClient, requests: int) -> None:
         return
     for i in range(requests):
         client.load(ids[i % len(ids)])
-    stats = client.stats()
-    print(
-        f"exercise: {requests} read(s) over {len(ids)} object(s); "
-        f"cache hit rate {stats['cache_hit_rate']:.2%} "
-        f"({stats['cache_hits']} hit(s), {stats['cache_misses']} miss(es))"
-    )
+    print(f"exercise: {requests} read(s) over {len(ids)} object(s)")
 
 
 def _parse_listen(listen: str) -> tuple[str, int]:
@@ -205,7 +196,7 @@ def _run_server(args: argparse.Namespace, metrics: MetricsRegistry) -> int:
         root, host=host, port=port, shards=shards,
         worker_processes=args.worker_processes,
         channels_per_worker=args.channels,
-        cache_size=args.cache, metrics=metrics,
+        metrics=metrics,
         supervise=not args.no_supervise,
         startup_deadline_s=args.startup_deadline,
         crash_loop_threshold=args.crash_loop_threshold,
@@ -314,8 +305,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.listen is not None:
             return _run_server(args, metrics)
         if is_tcp_url(args.store):
-            if args.rebalance is not None or args.warm_up:
-                print("error: --rebalance/--warm-up need direct store access, "
+            if args.rebalance is not None:
+                print("error: --rebalance needs direct store access, "
                       "not a knowledge+tcp:// URL", file=sys.stderr)
                 return 2
             with ServiceClient.open(args.store, metrics=metrics) as client:
@@ -334,8 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         service = open_service(
-            args.store, metrics=metrics, shards=args.shards, cache=args.cache,
-            **sizing,
+            args.store, metrics=metrics, shards=args.shards, **sizing,
         )
         with ServiceClient(service) as client:
             if args.ingest:
@@ -344,15 +334,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                       + (f" ({skipped} non-benchmark entr(ies) skipped)" if skipped else ""))
             if args.rebalance is not None:
                 moved = service.shard_map.rebalance(args.rebalance)
-                service.cache.clear()
                 print(f"rebalanced {moved} object(s) across {args.rebalance} shard(s)")
-            if args.warm_up:
-                warmed = service.warm_up()
-                print(f"warmed {warmed} object(s) into the cache")
             if args.exercise is not None:
                 _exercise(client, args.exercise)
             if args.list or not (
-                args.ingest or args.warm_up or args.exercise is not None
+                args.ingest or args.exercise is not None
                 or args.rebalance is not None
             ):
                 print(f"store: {service.shard_map.root}")

@@ -587,37 +587,15 @@ class ShardRouter:
 
     def _merged_stats(self) -> dict[str, object]:
         workers = self._snapshot()
-        merged: dict[str, object] = {
+        rows: dict[str, int] = {}
+        for reply in self._gather([(worker, "stats", {}) for worker in workers]):
+            rows.update(reply["stats"].get("rows_per_shard", {}))
+        return {
             "shards": self.num_shards,
             "worker_processes": len(workers),
             "shard_groups": [list(w.owned_shards) for w in workers],
-            "cache_entries": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_evictions_stale": 0,
-            "cache_evictions_capacity": 0,
-            "epochs": [0] * self.num_shards,
-            "rows_per_shard": {},
+            "rows_per_shard": rows,
         }
-        summed = (
-            "cache_entries", "cache_hits", "cache_misses",
-            "cache_evictions_stale", "cache_evictions_capacity",
-        )
-        replies = self._gather([(worker, "stats", {}) for worker in workers])
-        for worker, reply in zip(workers, replies):
-            stats = reply["stats"]
-            for key in summed:
-                merged[key] += int(stats.get(key, 0))  # type: ignore[operator]
-            merged["rows_per_shard"].update(stats.get("rows_per_shard", {}))  # type: ignore[union-attr]
-            epochs = stats.get("epochs") or []
-            for shard in worker.owned_shards:  # the owner's epoch is the truth
-                if shard < len(epochs):
-                    merged["epochs"][shard] = int(epochs[shard])  # type: ignore[index]
-        lookups = merged["cache_hits"] + merged["cache_misses"]  # type: ignore[operator]
-        merged["cache_hit_rate"] = (
-            round(merged["cache_hits"] / lookups, 4) if lookups else 0.0  # type: ignore[operator]
-        )
-        return merged
 
 
 # Per-shard-group supervision state: the slot bookkeeping is shared
@@ -863,7 +841,6 @@ class KnowledgeServer:
         shards: int | None = None,
         worker_processes: int = 2,
         channels_per_worker: int = 2,
-        cache_size: int = 128,
         max_frame: int = MAX_FRAME_BYTES,
         request_timeout_s: float = 30.0,
         metrics: "MetricsRegistry | None" = None,
@@ -904,9 +881,9 @@ class KnowledgeServer:
         for index in range(self.num_shards):
             groups[index % n_workers].append(index)
         self._shard_groups = groups
-        self._worker_config = (channels_per_worker, cache_size)
+        self._channels_per_worker = channels_per_worker
         self.workers: "list[WorkerHandle | CrashLoopedHandle]" = [
-            self._spawn_worker(wi, owned, channels_per_worker, cache_size)
+            self._spawn_worker(wi, owned)
             for wi, owned in enumerate(groups)
         ]
         for worker in self.workers:
@@ -942,14 +919,10 @@ class KnowledgeServer:
     # ------------------------------------------------------------------
     # worker processes
     # ------------------------------------------------------------------
-    def _spawn_worker(
-        self,
-        worker_index: int,
-        owned: list[int],
-        channels_per_worker: int,
-        cache_size: int,
-    ) -> WorkerHandle:
-        pairs = [socket.socketpair() for _ in range(max(1, channels_per_worker))]
+    def _spawn_worker(self, worker_index: int, owned: list[int]) -> WorkerHandle:
+        pairs = [
+            socket.socketpair() for _ in range(max(1, self._channels_per_worker))
+        ]
         child_fds = [child.fileno() for _, child in pairs]
         env = dict(os.environ)
         src_root = str(Path(repro.__file__).resolve().parents[1])
@@ -962,7 +935,6 @@ class KnowledgeServer:
             "--store", str(self.root),
             "--shards", ",".join(str(i) for i in owned),
             "--fds", ",".join(str(fd) for fd in child_fds),
-            "--cache", str(cache_size),
             "--max-frame", str(self.max_frame),
         ]
         process = subprocess.Popen(argv, pass_fds=child_fds, env=env)
@@ -987,9 +959,7 @@ class KnowledgeServer:
         fails or overruns its startup handshake — the supervisor backs
         off and tries again under its restart budget.
         """
-        handle = self._spawn_worker(
-            index, self._shard_groups[index], *self._worker_config
-        )
+        handle = self._spawn_worker(index, self._shard_groups[index])
         try:
             handle.handshake(deadline_s=self._startup_deadline_s)
         except Exception:

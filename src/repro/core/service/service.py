@@ -1,4 +1,4 @@
-"""The knowledge service: a concurrent, cache-fronted serving layer.
+"""The knowledge service: a concurrent serving layer over the shards.
 
 The ROADMAP north star is a knowledge base that serves "heavy traffic"
 while ingestion keeps writing — the always-on store that corpus studies
@@ -9,38 +9,33 @@ serving layer, embeddable in-process:
   in-process client's thread, or a shard-group worker's channel thread.
   Every shard access happens under that shard's lock (SQLite's
   single-writer discipline), so concurrency comes from spreading keys
-  across shards and from the result cache.
+  across shards.
 * **admission control** is a bounded count of requests in flight: one
   more than ``queue_size`` is *shed* at once with a typed
   :class:`~repro.util.errors.ServiceOverloadError` instead of piling
   onto a wedged SQLite file — overload degrades into client backoff,
   never a deadlock.
-* reads go through an :class:`~repro.core.service.cache.EpochLRUCache`;
-  every committed write bumps the owning shard's epoch, lazily evicting
-  stale entries on their next lookup.  The cache holds the knowledge
-  objects the repository built, uncopied: the dispatcher's wire codec
-  gives every caller its own copy.
+* every read goes to the shards, so it sees every committed write —
+  including writes made by another process that opened the same store.
 * shard writes run on the shard map's
   :class:`~repro.core.persistence.backend.ResilientBackend`, so a
   wedged shard trips its circuit breaker and quarantines: its writes
   fail fast with a transient, typed error carrying the breaker's
   ``retry_after_s`` while its reads and every other shard keep serving.
 
-Every request outcome, shard latency and cache event is recorded in
-the attached :class:`~repro.core.metrics.MetricsRegistry` under the
-``service.*`` families.
+Every request outcome and shard latency is recorded in the attached
+:class:`~repro.core.metrics.MetricsRegistry` under the ``service.*``
+families.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.knowledge import Knowledge
 from repro.core.persistence.scan import ScanQuery, merge_partial_payloads
-from repro.core.service.cache import EpochLRUCache
 from repro.core.service.shard import (
     KnowledgeShard,
     KnowledgeShardMap,
@@ -72,13 +67,9 @@ class KnowledgeService:
     The service starts no threads of its own and is a context manager;
     ``close()`` closes every shard, and later requests are refused.
 
-    Read results (``load``, ``fetch_many``, ``load_all``) are the very
-    objects held by the read-through cache, shared with every later
-    reader of the same id: treat them as read-only.  A caller that wants
-    its own mutable copy goes through
-    :class:`~repro.core.service.ops.ServiceDispatcher`, whose
-    ``encode_result`` converts each object once for the wire; every
-    :class:`~repro.core.service.client.ServiceClient` does.
+    Every read builds its own objects from the shards, so a caller may
+    mutate what it gets back without touching the store or another
+    reader's copy.
     """
 
     def __init__(
@@ -86,7 +77,6 @@ class KnowledgeService:
         shard_map: KnowledgeShardMap,
         *,
         queue_size: int = 64,
-        cache_size: int = 128,
         metrics: "MetricsRegistry | None" = None,
         owned_shards: Sequence[int] | None = None,
     ) -> None:
@@ -110,7 +100,6 @@ class KnowledgeService:
         self._owned_set = frozenset(self.owned_shards)
         self.metrics = metrics if metrics is not None else shard_map.metrics
         self.queue_size = queue_size
-        self.cache = EpochLRUCache(cache_size, metrics=self.metrics)
         self._admit_lock = threading.Lock()
         self._in_flight = 0
         self._stats_lock = threading.Lock()
@@ -209,7 +198,7 @@ class KnowledgeService:
             )
 
     # ------------------------------------------------------------------
-    # write operations (per-shard lock, epoch bump after commit)
+    # write operations (per-shard lock)
     # ------------------------------------------------------------------
     def _op_save(self, knowledge: Knowledge) -> int:
         shard = self.shard_map.shard_for(knowledge)
@@ -217,7 +206,6 @@ class KnowledgeService:
         start = time.perf_counter()
         with shard.lock:
             local_id = shard.repository.save(knowledge)
-            self.shard_map.bump_epoch(shard.index)
         self._observe_shard(shard, time.perf_counter() - start)
         global_id = encode_knowledge_id(local_id, shard.index)
         knowledge.knowledge_id = global_id
@@ -233,7 +221,6 @@ class KnowledgeService:
             start = time.perf_counter()
             with shard.lock:
                 local_ids = shard.repository.save_many([k for _, k in group])
-                self.shard_map.bump_epoch(index)
             self._observe_shard(shard, time.perf_counter() - start)
             for (position, knowledge), local_id in zip(group, local_ids):
                 gid = encode_knowledge_id(local_id, index)
@@ -247,32 +234,22 @@ class KnowledgeService:
         start = time.perf_counter()
         with shard.lock:
             shard.repository.delete(local_id)
-            self.shard_map.bump_epoch(shard.index)
         self._observe_shard(shard, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
-    # read operations (read-through cache of shared, read-only objects)
+    # read operations (each builds its own objects from the shards)
     # ------------------------------------------------------------------
     def _op_load(self, global_id: int) -> Knowledge:
         shard, local_id = self.shard_map.shard_of(global_id)
         self._check_owned(shard.index)
-        epochs = (self.shard_map.epoch(shard.index),)
-        hit, cached = self.cache.get(("load", global_id), epochs)
-        if hit:
-            return cached  # type: ignore[return-value]
         start = time.perf_counter()
         with shard.lock:
             knowledge = shard.repository.load(local_id)
         self._observe_shard(shard, time.perf_counter() - start)
         knowledge.knowledge_id = global_id
-        self.cache.put(("load", global_id), epochs, knowledge)
         return knowledge
 
     def _op_list_ids(self, benchmark: str | None = None) -> list[int]:
-        epochs = self.shard_map.epochs()
-        hit, value = self.cache.get(("list_ids", benchmark), epochs)
-        if hit:
-            return list(value)  # type: ignore[arg-type]
         ids: list[int] = []
         for shard in self._owned:
             start = time.perf_counter()
@@ -281,32 +258,23 @@ class KnowledgeService:
             self._observe_shard(shard, time.perf_counter() - start)
             ids.extend(encode_knowledge_id(i, shard.index) for i in local_ids)
         ids.sort()
-        self.cache.put(("list_ids", benchmark), epochs, tuple(ids))
         return ids
 
     def _op_load_all(self, benchmark: str | None = None) -> list[Knowledge]:
-        # One batched fetch per shard (cache-aware), not a load() per id.
+        # One batched fetch per shard, not a load() per id.
         return self._op_fetch_many(self._op_list_ids(benchmark))
 
     def _op_fetch_many(self, global_ids: Sequence[int]) -> list[Knowledge]:
-        """Batched load: cached ids are served from the cache, the
-        misses of each shard are fetched with one repository round-trip
-        (``fetch_many``) under that shard's lock."""
+        """Batched load: the distinct ids of each shard are fetched with
+        one repository round-trip (``fetch_many``) under that shard's
+        lock; a repeated id shares one object in the answer."""
+        unique = dict.fromkeys(int(i) for i in global_ids)
+        groups = group_by_owner(unique, lambda gid: self.shard_map.shard_of(gid)[0].index)
+        for index in groups:
+            self._check_owned(index)
         out: dict[int, Knowledge] = {}
-        misses: list[int] = []
-        for global_id in dict.fromkeys(int(i) for i in global_ids):
-            shard, _ = self.shard_map.shard_of(global_id)
-            self._check_owned(shard.index)
-            epochs = (self.shard_map.epoch(shard.index),)
-            hit, cached = self.cache.get(("load", global_id), epochs)
-            if hit:
-                out[global_id] = cached  # type: ignore[assignment]
-            else:
-                misses.append(global_id)
-        groups = group_by_owner(misses, lambda gid: self.shard_map.shard_of(gid)[0].index)
         for index, group in groups.items():
             shard = self.shard_map.shards[index]
-            epochs = (self.shard_map.epoch(index),)
             local_ids = [self.shard_map.shard_of(gid)[1] for _, gid in group]
             start = time.perf_counter()
             with shard.lock:
@@ -314,16 +282,13 @@ class KnowledgeService:
             self._observe_shard(shard, time.perf_counter() - start)
             for (_, global_id), knowledge in zip(group, loaded):
                 knowledge.knowledge_id = global_id
-                self.cache.put(("load", global_id), epochs, knowledge)
                 out[global_id] = knowledge
         return [out[int(i)] for i in global_ids]
 
     def _op_find_by_parameter(self, key: str, value: str) -> list[int]:
         """Global ids whose ``parameters[key] == value``, across shards.
 
-        The campaign orchestrator's exactly-once token lookup — always
-        answered from the shards, never the cache: a stale answer here
-        could duplicate a benchmark run.
+        The campaign orchestrator's exactly-once token lookup.
         """
         ids: list[int] = []
         for shard in self._owned:
@@ -336,17 +301,12 @@ class KnowledgeService:
         return ids
 
     def _op_count(self, benchmark: str | None = None) -> int:
-        epochs = self.shard_map.epochs()
-        hit, value = self.cache.get(("count", benchmark), epochs)
-        if hit:
-            return int(value)  # type: ignore[arg-type]
         total = 0
         for shard in self._owned:
             start = time.perf_counter()
             with shard.lock:
                 total += shard.repository.count(benchmark)
             self._observe_shard(shard, time.perf_counter() - start)
-        self.cache.put(("count", benchmark), epochs, total)
         return total
 
     def _op_scan(self, query: ScanQuery) -> dict[str, object]:
@@ -355,23 +315,15 @@ class KnowledgeService:
         Each shard evaluates the scan down in SQL (never materialising
         knowledge objects); the per-shard states merge here, and merge
         again in the router when several shard-group workers each
-        answer for their subset.  The merged partials are cached keyed
-        on the canonical query payload + every owned shard's epoch.
+        answer for their subset.
         """
-        cache_key = ("scan", json.dumps(query.to_payload(), sort_keys=True))
-        epochs = self.shard_map.epochs()
-        hit, value = self.cache.get(cache_key, epochs)
-        if hit:
-            return dict(value)  # type: ignore[arg-type]
         parts: list[dict[str, object]] = []
         for shard in self._owned:
             start = time.perf_counter()
             with shard.lock:
                 parts.append(shard.repository.scan_partial(query))
             self._observe_shard(shard, time.perf_counter() - start)
-        merged = merge_partial_payloads(parts)
-        self.cache.put(cache_key, epochs, merged)
-        return merged
+        return merge_partial_payloads(parts)
 
     def _op_exists(self, global_id: int) -> bool:
         try:
@@ -379,37 +331,15 @@ class KnowledgeService:
         except (ServiceError, PersistenceError):
             return False
         self._check_owned(shard.index)
-        epochs = (self.shard_map.epoch(shard.index),)
-        hit, value = self.cache.get(("exists", global_id), epochs)
-        if hit:
-            return bool(value)
         start = time.perf_counter()
         with shard.lock:
             present = shard.repository.exists(local_id)
         self._observe_shard(shard, time.perf_counter() - start)
-        self.cache.put(("exists", global_id), epochs, present)
         return present
 
     # ------------------------------------------------------------------
     # administration (no admission control, no request accounting)
     # ------------------------------------------------------------------
-    def warm_up(self, limit: int | None = None) -> int:
-        """Preload up to ``limit`` knowledge objects into the cache.
-
-        Uses the COUNT fast path to skip empty shards without touching
-        any rows, then loads ids in global order through the cache.
-        Returns how many objects were loaded.
-        """
-        if self._op_count() == 0:
-            return 0
-        warmed = 0
-        for global_id in self._op_list_ids():
-            if limit is not None and warmed >= limit:
-                break
-            self._op_load(global_id)
-            warmed += 1
-        return warmed
-
     def stats(self) -> dict[str, object]:
         """A point-in-time operational summary (for ``repro-serve``).
 
@@ -425,13 +355,6 @@ class KnowledgeService:
         return {
             "shards": self.shard_map.num_shards,
             "owned_shards": list(self.owned_shards),
-            "cache_entries": len(self.cache),
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_hit_rate": round(self.cache.hit_rate, 4),
-            "cache_evictions_stale": self.cache.evictions_stale,
-            "cache_evictions_capacity": self.cache.evictions_capacity,
-            "epochs": list(self.shard_map.epochs()),
             "rows_per_shard": rows,
         }
 

@@ -135,14 +135,13 @@ def group_by_owner(
 
 @dataclass
 class KnowledgeShard:
-    """One shard: its backend, repository, lock and write epoch."""
+    """One shard: its backend, repository and lock."""
 
     index: int
     path: str
     backend: ResilientBackend
     repository: KnowledgeRepository
     lock: threading.RLock = field(default_factory=threading.RLock)
-    epoch: int = 0
 
 
 class KnowledgeShardMap:
@@ -172,7 +171,6 @@ class KnowledgeShardMap:
         self.metrics = metrics
         self.key_space = key_space
         self._breaker_factory = breaker_factory
-        self._epoch_lock = threading.Lock()
         self.root.mkdir(parents=True, exist_ok=True)
         manifest_rows = self._read_manifest()
         if manifest_rows:
@@ -323,24 +321,6 @@ class KnowledgeShardMap:
             )
         return self.shards[index], local_id
 
-    # -- epochs --------------------------------------------------------
-    def epoch(self, shard_index: int) -> int:
-        """The current write epoch of one shard."""
-        with self._epoch_lock:
-            return self.shards[shard_index].epoch
-
-    def epochs(self) -> tuple[int, ...]:
-        """Every shard's epoch, in shard order (cross-shard cache keys)."""
-        with self._epoch_lock:
-            return tuple(shard.epoch for shard in self.shards)
-
-    def bump_epoch(self, shard_index: int) -> int:
-        """Advance one shard's epoch after a committed write."""
-        with self._epoch_lock:
-            shard = self.shards[shard_index]
-            shard.epoch += 1
-            return shard.epoch
-
     # -- store-wide helpers --------------------------------------------
     def counts(self) -> list[int]:
         """Knowledge-object count per shard (COUNT fast path)."""
@@ -382,5 +362,4 @@ class KnowledgeShardMap:
             shard = self.shard_for(knowledge)
             with shard.lock:
                 shard.repository.save(knowledge)
-                self.bump_epoch(shard.index)
         return len(moved)

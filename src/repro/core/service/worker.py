@@ -4,8 +4,8 @@ The networked knowledge server (:mod:`repro.core.service.server`) does
 not touch SQLite itself — it routes.  Each *worker process* owns a
 disjoint group of shards and runs an embedded
 :class:`~repro.core.service.service.KnowledgeService` over them:
-per-shard breaker quarantine and the epoch-invalidated LRU cache live
-here as per-worker state, and SQLite writes to different shard groups
+per-shard breaker quarantine lives here as per-worker state, and
+SQLite writes to different shard groups
 no longer contend on one GIL.
 
 The parent hands the worker one or more ``socketpair`` channel file
@@ -133,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         "--fds", required=True,
         help="comma-separated channel socket file descriptors",
     )
-    parser.add_argument("--cache", type=int, default=128, help="LRU cache entries")
     parser.add_argument(
         "--max-frame", type=int, default=MAX_FRAME_BYTES, help="frame body cap (bytes)"
     )
@@ -151,8 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(options.store, metrics=metrics)
     service = KnowledgeService(
-        shard_map, queue_size=max(1, len(channels)), cache_size=options.cache,
-        metrics=metrics, owned_shards=owned,
+        shard_map, queue_size=max(1, len(channels)), metrics=metrics,
+        owned_shards=owned,
     )
     dispatcher = ServiceDispatcher(service)
     threads = [

@@ -233,7 +233,7 @@ class TestCampaignStore:
         store, cid, _ = _submit(tmp_path)
         job = store.acquire(cid, "w0", now=0.0, lease_s=1.0)
         assert job.attempts == 1
-        released = store.release(job.job_id)
+        released = store.release(job.job_id, "w0")
         assert released.state == "READY" and released.attempts == 0
 
     def test_cancel(self, tmp_path):
@@ -717,7 +717,7 @@ class TestBatchedReads:
             ])
             fetched = client.fetch_many(list(reversed(ids)))
             assert [k.knowledge_id for k in fetched] == list(reversed(ids))
-            # second fetch is served from the cache and stays correct
+            # a second fetch, in another order, stays correct
             assert [
                 k.knowledge_id for k in client.fetch_many(ids)
             ] == ids

@@ -1,11 +1,11 @@
-"""Read results never alias the service's read-through cache.
+"""Read results never alias the stored knowledge.
 
-The service caches the :class:`Knowledge` objects its repositories
-build and hands them to the dispatcher read-only; each client gets its
-own copy from the wire codec.  So a caller that mutates what ``load``
-or ``fetch_many`` returned — appends a summary, edits a parameter,
-swaps the system dict, rewrites a result — must still read the stored
-values back, from a cache hit, embedded and over ``knowledge+tcp://``.
+Every read builds its own :class:`Knowledge` objects from the shards,
+and each client gets its own copy from the wire codec.  So a caller
+that mutates what ``load`` or ``fetch_many`` returned — appends a
+summary, edits a parameter, swaps the system dict, rewrites a result —
+must still read the stored values back, embedded and over
+``knowledge+tcp://``.
 """
 
 import copy
@@ -63,13 +63,12 @@ def mutate(knowledge: Knowledge) -> None:
 
 
 @pytest.fixture(params=["embedded", "tcp"])
-def reader(request, tmp_path):
-    """``(client, cache_hits)`` for an embedded service or a TCP server."""
+def client(request, tmp_path):
+    """A client of an embedded service or of a TCP server."""
     if request.param == "embedded":
         shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2)
-        service = KnowledgeService(shard_map, cache_size=32)
-        client = ServiceClient(service, sleep=lambda s: None)
-        yield client, lambda: service.cache.hits
+        client = ServiceClient(KnowledgeService(shard_map), sleep=lambda s: None)
+        yield client
         client.close()
         return
     server = KnowledgeServer(
@@ -79,43 +78,35 @@ def reader(request, tmp_path):
     server.start()
     client = ServiceClient.open(f"knowledge+tcp://{server.host}:{server.port}/")
     try:
-        yield client, lambda: int(client.stats()["cache_hits"])
+        yield client
     finally:
         client.close()
         server.close()
 
 
-def test_mutating_a_loaded_object_leaves_the_cache_intact(reader):
-    client, cache_hits = reader
+def test_mutating_a_loaded_object_leaves_the_store_intact(client):
     gid = client.save(make_knowledge(1))
-    first = client.load(gid)  # miss: fills the cache
+    first = client.load(gid)
     stored = copy.deepcopy(knowledge_to_dict(first))
     mutate(first)
     for _ in range(2):
-        before = cache_hits()
         again = client.load(gid)
-        assert cache_hits() == before + 1
         assert again.knowledge_id == gid
         assert knowledge_to_dict(again) == stored
         mutate(again)
 
 
-def test_mutating_fetched_objects_leaves_the_cache_intact(reader):
-    client, cache_hits = reader
+def test_mutating_fetched_objects_leaves_the_store_intact(client):
     ids = client.save_many([make_knowledge(m, host=f"n{m}") for m in range(4)])
-    first = client.fetch_many(ids)  # misses: fill the cache
+    first = client.fetch_many(ids)
     stored = copy.deepcopy([knowledge_to_dict(k) for k in first])
     for knowledge in first:
         mutate(knowledge)
     for _ in range(2):
-        before = cache_hits()
         again = client.fetch_many(ids)
-        assert cache_hits() == before + len(ids)
         assert [k.knowledge_id for k in again] == ids
         assert [knowledge_to_dict(k) for k in again] == stored
         for knowledge in again:
             mutate(knowledge)
-    # A load of a fetched id hits the same cache entry, also unmutated.
-    before = cache_hits()
+    # A load of a fetched id reads the same stored values, also unmutated.
     assert knowledge_to_dict(client.load(ids[0])) == stored[0]
-    assert cache_hits() == before + 1

@@ -429,7 +429,7 @@ class TestBucketEdges:
 class TestServiceScan:
     def test_embedded_service_scan_equals_fold(self, tmp_path):
         shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=3)
-        service = KnowledgeService(shard_map, cache_size=16)
+        service = KnowledgeService(shard_map)
         try:
             with ServiceClient(service) as client:
                 runs, _ = synthesize_fleet(99, runs=40, io500_runs=0)
@@ -446,10 +446,8 @@ class TestServiceScan:
             shard_map.close()
 
     def test_scan_result_reflects_new_saves(self, tmp_path):
-        # The scan cache must invalidate on epoch bumps, not serve the
-        # pre-save aggregate forever.
         shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2)
-        service = KnowledgeService(shard_map, cache_size=16)
+        service = KnowledgeService(shard_map)
         try:
             with ServiceClient(service) as client:
                 client.save(make_knowledge(1, bw=100.0))

@@ -1,8 +1,8 @@
-"""Tests for the knowledge service (shards, admission, cache, client).
+"""Tests for the knowledge service (shards, admission, client).
 
 Covers the serving-layer contract: deterministic shard placement,
-global-id routing, read-through caching with epoch invalidation,
-admission control (typed overload, never a hang), client backoff with
+global-id routing, reads that see writes made through another service
+on the same store, admission control (typed overload, never a hang), client backoff with
 deterministic jitter, wedged-shard quarantine via the circuit breaker,
 rebalancing, and the ``repro-serve`` / ``repro-explore --service``
 CLIs.  The ``stress``-marked soak at the bottom is the acceptance run:
@@ -66,7 +66,7 @@ def make_knowledge(marker: int, host: str = "nodeA", benchmark: str = "ior") -> 
 def service(tmp_path):
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2, metrics=metrics)
-    svc = KnowledgeService(shard_map, queue_size=64, cache_size=32, metrics=metrics)
+    svc = KnowledgeService(shard_map, queue_size=64, metrics=metrics)
     yield svc
     svc.close()
 
@@ -126,10 +126,10 @@ def test_manifest_discovery_and_conflict(tmp_path):
 # ----------------------------------------------------------------------
 def test_parse_service_url_absolute_and_options():
     root, options = parse_service_url(
-        "knowledge+service:///var/lib/repro/store?shards=4&cache=256"
+        "knowledge+service:///var/lib/repro/store?shards=4&queue=8"
     )
     assert root == "/var/lib/repro/store"
-    assert options == {"shards": 4, "cache": 256}
+    assert options == {"shards": 4, "queue": 8}
 
 
 def test_parse_service_url_relative():
@@ -145,6 +145,8 @@ def test_parse_service_url_rejects_bad_input():
     assert not is_service_url("sqlite:///x.db")
     with pytest.raises(ServiceError, match="unknown service URL option"):
         parse_service_url("knowledge+service:///s?shard=2")
+    with pytest.raises(ServiceError, match="unknown service URL option 'cache'"):
+        parse_service_url("knowledge+service:///s?cache=16")
     with pytest.raises(ServiceError, match="not an integer"):
         parse_service_url("knowledge+service:///s?shards=two")
     with pytest.raises(ServiceError, match="no store directory"):
@@ -152,11 +154,10 @@ def test_parse_service_url_rejects_bad_input():
 
 
 def test_open_service_from_url(tmp_path):
-    url = f"knowledge+service://{tmp_path}/store?shards=3&queue=8&cache=16"
+    url = f"knowledge+service://{tmp_path}/store?shards=3&queue=8"
     with open_service(url) as svc:
         assert svc.shard_map.num_shards == 3
         assert svc.queue_size == 8
-        assert svc.cache.capacity == 16
 
 
 # ----------------------------------------------------------------------
@@ -202,74 +203,24 @@ def test_load_all_matches_individual_loads(client):
 
 
 # ----------------------------------------------------------------------
-# cache: hits, epoch invalidation, capacity eviction
+# two services on one store (two fleet launchers)
 # ----------------------------------------------------------------------
-def test_cache_hit_and_epoch_invalidation(service, client):
-    gid = client.save(make_knowledge(1))  # host nodeA
-    client.load(gid)
-    assert service.cache.hits == 0
-    client.load(gid)
-    assert service.cache.hits == 1
-    # A committed write to the *same shard* bumps its epoch...
-    client.save(make_knowledge(2))  # same key "ior/nodeA" -> same shard
-    # ...so the cached entry is stale and lazily evicted on next lookup.
-    before = service.cache.evictions_stale
-    client.load(gid)
-    assert service.cache.evictions_stale == before + 1
-    client.load(gid)
-    assert service.cache.hits == 2  # re-cached under the new epoch
-
-
-def test_epoch_invalidation_lands_in_metrics(service, client):
-    gid = client.save(make_knowledge(1))
-    client.load(gid)
-    client.load(gid)
-    client.save(make_knowledge(2))
-    client.load(gid)
-    snap = service.metrics.snapshot()
-    hits = snap["counters"]["service.cache_hits_total"]["series"][0]["value"]
-    stale = [
-        row["value"]
-        for row in snap["counters"]["service.cache_evictions_total"]["series"]
-        if row["labels"]["reason"] == "stale"
-    ][0]
-    assert hits >= 1 and stale >= 1
-
-
-def test_cache_capacity_eviction(tmp_path):
-    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, cache_size=2) as svc:
-        client = ServiceClient(svc, sleep=lambda s: None)
-        ids = [client.save(make_knowledge(i, host=f"n{i}")) for i in range(3)]
-        for gid in ids:
-            client.load(gid)
-        assert svc.cache.evictions_capacity >= 1
-
-
-def test_cache_disabled_when_capacity_zero(tmp_path):
-    shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, cache_size=0) as svc:
-        client = ServiceClient(svc, sleep=lambda s: None)
-        gid = client.save(make_knowledge(1))
-        client.load(gid)
-        client.load(gid)
-        assert svc.cache.hits == 0 and len(svc.cache) == 0
-
-
-def test_warm_up_preloads_cache(tmp_path):
-    root = tmp_path / "store"
-    with open_service(str(root), shards=2) as svc:
-        client = ServiceClient(svc, sleep=lambda s: None)
-        ids = [client.save(make_knowledge(i, host=f"n{i}")) for i in range(5)]
-    with open_service(str(root)) as svc:
-        assert svc.warm_up() == 5
-        client = ServiceClient(svc, sleep=lambda s: None)
-        before = svc.cache.hits
-        for gid in ids:
-            client.load(gid)
-        assert svc.cache.hits == before + 5
-    with open_service(str(root)) as svc:
-        assert svc.warm_up(limit=2) == 2
+def test_two_clients_on_one_store_see_each_others_writes(tmp_path):
+    url = f"knowledge+service://{tmp_path}/store?shards=2"
+    with ServiceClient.open(url) as a, ServiceClient.open(url) as b:
+        assert b.count() == 0 and b.list_ids() == []
+        ids = a.save_many([make_knowledge(i, host=f"n{i}") for i in range(4)])
+        assert len({decode_knowledge_id(g)[1] for g in ids}) == 2
+        assert b.count() == 4
+        assert sorted(b.list_ids()) == sorted(ids)
+        victim = ids[0]
+        assert b.exists(victim)
+        assert b.load(victim).parameters["marker"] == 0
+        a.delete(victim)
+        assert not b.exists(victim)
+        with pytest.raises(PersistenceError):
+            b.load(victim)
+        assert b.count() == 3
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +250,7 @@ def _fill_in_flight_cap(service, op, *args):
 def test_overload_sheds_with_typed_error(tmp_path):
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1, metrics=metrics)
-    with KnowledgeService(shard_map, queue_size=2, cache_size=0,
-                          metrics=metrics) as svc:
+    with KnowledgeService(shard_map, queue_size=2, metrics=metrics) as svc:
         client = ServiceClient(svc, sleep=lambda s: None)
         gid = client.save(make_knowledge(1))
         shard = shard_map.shards[0]
@@ -328,7 +278,7 @@ def test_overload_sheds_with_typed_error(tmp_path):
 @pytest.mark.timeout(30)
 def test_client_backs_off_and_recovers(tmp_path):
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=1)
-    with KnowledgeService(shard_map, queue_size=1, cache_size=0) as svc:
+    with KnowledgeService(shard_map, queue_size=1) as svc:
         seed_client = ServiceClient(svc, sleep=lambda s: None)
         gid = seed_client.save(make_knowledge(1))
         shard = shard_map.shards[0]
@@ -521,7 +471,7 @@ def test_wedged_shard_quarantines_and_heals(tmp_path):
 
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2,
                                   breaker_factory=breaker_factory)
-    with KnowledgeService(shard_map, cache_size=0) as svc:
+    with KnowledgeService(shard_map) as svc:
         client = ServiceClient(svc, sleep=lambda s: None)
         healthy_gid = client.save(make_knowledge(1, host="other"))
         target = shard_map.shard_for(make_knowledge(2, host="wedge"))
@@ -575,7 +525,7 @@ def test_metrics_report_gains_service_section(service, client):
     client.load(gid)
     report = render_metrics_report(service.metrics.snapshot())
     assert "Knowledge service" in report
-    assert "cache hit rate" in report
+    assert "requests         3 ok, 0 error(s)" in report
     assert "shed (overload)" in report
 
 
@@ -601,7 +551,7 @@ def test_serve_cli_ingest_list_exercise(tmp_path, capsys):
     assert serve_main([str(store), "--exercise", "8",
                        "--metrics-json", str(metrics_path)]) == 0
     out = capsys.readouterr().out
-    assert "cache hit rate" in out
+    assert "exercise: 8 read(s) over 4 object(s)" in out
     assert metrics_path.exists()
 
 
@@ -655,14 +605,12 @@ SAVES_PER_WRITER = 6
 def test_sixteen_thread_soak_two_shards(tmp_path, fault_seed):
     """The acceptance soak: 16 mixed client threads over a 2-shard service.
 
-    Asserts zero lost or duplicated rows, at least one cache hit and
-    one epoch invalidation in the metrics snapshot, a typed overload
-    under forced pressure, and seed-stable shard placement.
+    Asserts zero lost or duplicated rows, a typed overload under forced
+    pressure, and seed-stable shard placement.
     """
     metrics = MetricsRegistry()
     shard_map = KnowledgeShardMap(tmp_path / "store", num_shards=2, metrics=metrics)
-    svc = KnowledgeService(shard_map, queue_size=32, cache_size=64,
-                           metrics=metrics)
+    svc = KnowledgeService(shard_map, queue_size=32, metrics=metrics)
     stop = threading.Event()
     errors: list[BaseException] = []
     saved_ids: list[list[int]] = [[] for _ in range(N_WRITERS)]
@@ -672,8 +620,8 @@ def test_sixteen_thread_soak_two_shards(tmp_path, fault_seed):
         try:
             for n in range(SAVES_PER_WRITER):
                 marker = slot * SAVES_PER_WRITER + n
-                # Two hostnames -> traffic on both shards, with repeats
-                # so committed writes invalidate cached reads.
+                # Two hostnames -> traffic on both shards, with readers
+                # racing the writes on each.
                 gid = client.save(make_knowledge(marker, host=f"n{marker % 2}"))
                 saved_ids[slot].append(gid)
         except BaseException as exc:  # pragma: no cover - surfaced below
@@ -724,21 +672,9 @@ def test_sixteen_thread_soak_two_shards(tmp_path, fault_seed):
         assert markers == list(range(N_WRITERS * SAVES_PER_WRITER)), \
             "lost or duplicated row content"
 
-        # The metrics snapshot recorded cache traffic and invalidation.
-        snap = metrics.snapshot()
-        hits = snap["counters"]["service.cache_hits_total"]["series"][0]["value"]
-        stale = [
-            row["value"]
-            for row in snap["counters"]["service.cache_evictions_total"]["series"]
-            if row["labels"]["reason"] == "stale"
-        ]
-        assert hits >= 1, "soak never hit the cache"
-        assert stale and stale[0] >= 1, "soak never invalidated an epoch"
-
         # Forced overload sheds with the typed error, never a hang or a
-        # raw sqlite3.OperationalError.  Clear the cache first so every
-        # flooded read must take the (held) shard lock.
-        svc.cache.clear()
+        # raw sqlite3.OperationalError: every flooded read must take the
+        # (held) shard lock.
         shard = shard_map.shards[0]
         shard.lock.acquire()
         try:

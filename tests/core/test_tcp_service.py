@@ -133,6 +133,24 @@ class TestTcpParity:
             ]
         assert remote_rows == local_rows  # same placement, same ordering
 
+    def test_stats_keys_and_row_totals_match_count(self, server, tmp_path):
+        shard_map = KnowledgeShardMap(tmp_path / "embedded", num_shards=2)
+        with ServiceClient(KnowledgeService(shard_map)) as local, \
+                ServiceClient.open(_url(server)) as remote:
+            for client in (local, remote):
+                client.save_many([make_knowledge(m, host=f"h{m}") for m in range(6)])
+                client.delete(client.list_ids()[0])
+                assert client.count() == 5
+            embedded, merged = local.stats(), remote.stats()
+            assert set(embedded) == {"shards", "owned_shards", "rows_per_shard"}
+            assert set(merged) == {
+                "shards", "worker_processes", "shard_groups", "rows_per_shard",
+            }
+            for client, stats in ((local, embedded), (remote, merged)):
+                assert stats["shards"] == 2
+                assert sorted(stats["rows_per_shard"]) == ["0", "1"]
+                assert sum(stats["rows_per_shard"].values()) == client.count()
+
     def test_typed_errors_cross_the_wire(self, server):
         with ServiceClient.open(_url(server)) as client:
             k = make_knowledge(9)
