@@ -887,14 +887,23 @@ class CampaignStore:
 
         A retryable failure with budget left goes RUNNING → RESTARTING
         → READY (two committed checkpoints, so a crash between them
-        resumes correctly); a permanent failure or an exhausted budget
-        goes to FAILED and cascades through :meth:`mark_ready`.  The
-        optional ``owner`` guard mirrors :meth:`complete`.
+        resumes correctly); a job already RESTARTING (stolen or
+        reclaimed, and held by ``owner``) goes straight to READY.  A
+        permanent failure or an exhausted budget goes to FAILED and
+        cascades through :meth:`mark_ready`.  The optional ``owner``
+        guard mirrors :meth:`complete`.
         """
         guard = {"lease_owner": owner} if owner is not None else None
         with self._lock:
             job = self._to_jobrow(self._row(job_id))
             if retryable and job.attempts < job.max_attempts:
+                if job.state == RESTARTING:
+                    return self._transition_or_raise(
+                        job_id,
+                        READY,
+                        sets={"error": error, "lease_owner": None, "lease_expires_at": None},
+                        guard=guard,
+                    )
                 self._transition_or_raise(
                     job_id, RESTARTING, sets={"error": error}, guard=guard
                 )

@@ -10,6 +10,7 @@ iteration results must round-trip, not just the summaries.
 from __future__ import annotations
 
 import json
+from sqlite3 import Row
 from typing import Sequence
 
 from repro.core.knowledge import (
@@ -49,6 +50,62 @@ _AGG_UPSERT = """
         vmin = MIN(vmin, excluded.vmin),
         vmax = MAX(vmax, excluded.vmax)
 """
+
+# The read path's two SELECTs.  Each names its columns in the field
+# order of the dataclasses built from it, so _build_knowledge takes rows
+# positionally instead of by column name.  A knowledge object's
+# filesystem and system rows ride on its performances row (one each at
+# most, both absent when their NOT NULL first column reads NULL).
+_PERFORMANCES_SELECT = (
+    "SELECT p.id, p.benchmark, p.command, p.api, p.testFileName, p.filePerProc, "
+    "p.num_nodes, p.num_tasks, p.tasks_per_node, p.start_time, p.end_time, "
+    "p.parameters_json, "
+    "f.fs_type, f.entry_type, f.entry_id, f.metadata_node, f.stripe_pattern, "
+    "f.chunk_size, f.num_targets, f.raid_scheme, f.storage_pool, "
+    "y.hostname, y.system_name, y.processor_model, y.architecture, "
+    "y.processor_cores, y.processor_mhz, y.cache_bytes, y.memory_bytes "
+    "FROM performances p "
+    "LEFT JOIN filesystems f ON f.performance_id = p.id "
+    "LEFT JOIN systems y ON y.performance_id = p.id "
+    "WHERE p.id IN ({marks})"
+)
+_SUMMARIES_SELECT = (
+    "SELECT id, performance_id, operation, api, bw_max, bw_min, bw_mean, "
+    "bw_stddev, ops_max, ops_min, ops_mean, ops_stddev, iterations "
+    "FROM summaries WHERE performance_id IN ({marks}) ORDER BY id"
+)
+_RESULTS_SELECT = (
+    "SELECT r.summaries_id, r.iteration, r.bandwidth, r.ops, r.latency, "
+    "r.openTime, r.wrRdTime, r.closeTime, r.totalTime "
+    "FROM results r JOIN summaries s ON s.id = r.summaries_id "
+    "WHERE s.performance_id IN ({marks}) ORDER BY r.summaries_id, r.iteration"
+)
+#: Keys of a loaded ``Knowledge.system`` dict, in ``_PERFORMANCES_SELECT`` order.
+_SYSTEM_KEYS = (
+    "hostname", "system_name", "processor_model", "architecture",
+    "processor_cores", "processor_mhz", "cache_size_bytes", "memory_bytes",
+)
+
+
+def _build_knowledge(
+    performance: Row, summaries: Sequence[Row], results: dict[int, list[Row]]
+) -> Knowledge:
+    """One fresh :class:`Knowledge` from its rows (the read path's builder)."""
+    return Knowledge(
+        *performance[1:5],  # benchmark, command, api, test_file
+        bool(performance[5]),
+        *performance[6:11],  # num_nodes … end_time
+        json.loads(performance[11]),
+        [
+            KnowledgeSummary(
+                *s[2:], [KnowledgeResult(*r[1:]) for r in results.get(s[0], ())]
+            )
+            for s in summaries
+        ],
+        None if performance[12] is None else FilesystemInfo(*performance[12:21]),
+        None if performance[21] is None else dict(zip(_SYSTEM_KEYS, performance[21:])),
+        performance[0],
+    )
 
 
 class KnowledgeRepository:
@@ -421,90 +478,7 @@ class KnowledgeRepository:
     # ------------------------------------------------------------------
     def load(self, knowledge_id: int) -> Knowledge:
         """Load one knowledge object by id."""
-        row = self.db.execute(
-            "SELECT * FROM performances WHERE id = ?", (knowledge_id,)
-        ).fetchone()
-        if row is None:
-            raise PersistenceError(f"no knowledge object with id {knowledge_id}")
-        knowledge = Knowledge(
-            benchmark=row["benchmark"],
-            command=row["command"],
-            api=row["api"],
-            test_file=row["testFileName"],
-            file_per_proc=bool(row["filePerProc"]),
-            num_nodes=row["num_nodes"],
-            num_tasks=row["num_tasks"],
-            tasks_per_node=row["tasks_per_node"],
-            start_time=row["start_time"],
-            end_time=row["end_time"],
-            parameters=json.loads(row["parameters_json"]),
-            knowledge_id=knowledge_id,
-        )
-        for srow in self.db.execute(
-            "SELECT * FROM summaries WHERE performance_id = ? ORDER BY id", (knowledge_id,)
-        ).fetchall():
-            results = [
-                KnowledgeResult(
-                    iteration=r["iteration"],
-                    bandwidth_mib=r["bandwidth"],
-                    iops=r["ops"],
-                    latency_s=r["latency"],
-                    open_time_s=r["openTime"],
-                    wrrd_time_s=r["wrRdTime"],
-                    close_time_s=r["closeTime"],
-                    total_time_s=r["totalTime"],
-                )
-                for r in self.db.execute(
-                    "SELECT * FROM results WHERE summaries_id = ? ORDER BY iteration",
-                    (srow["id"],),
-                ).fetchall()
-            ]
-            knowledge.summaries.append(
-                KnowledgeSummary(
-                    operation=srow["operation"],
-                    api=srow["api"],
-                    bw_max=srow["bw_max"],
-                    bw_min=srow["bw_min"],
-                    bw_mean=srow["bw_mean"],
-                    bw_stddev=srow["bw_stddev"],
-                    ops_max=srow["ops_max"],
-                    ops_min=srow["ops_min"],
-                    ops_mean=srow["ops_mean"],
-                    ops_stddev=srow["ops_stddev"],
-                    iterations=srow["iterations"],
-                    results=results,
-                )
-            )
-        fsrow = self.db.execute(
-            "SELECT * FROM filesystems WHERE performance_id = ?", (knowledge_id,)
-        ).fetchone()
-        if fsrow is not None:
-            knowledge.filesystem = FilesystemInfo(
-                fs_type=fsrow["fs_type"],
-                entry_type=fsrow["entry_type"],
-                entry_id=fsrow["entry_id"],
-                metadata_node=fsrow["metadata_node"],
-                stripe_pattern=fsrow["stripe_pattern"],
-                chunk_size=fsrow["chunk_size"],
-                num_targets=fsrow["num_targets"],
-                raid_scheme=fsrow["raid_scheme"],
-                storage_pool=fsrow["storage_pool"],
-            )
-        sysrow = self.db.execute(
-            "SELECT * FROM systems WHERE performance_id = ?", (knowledge_id,)
-        ).fetchone()
-        if sysrow is not None:
-            knowledge.system = {
-                "hostname": sysrow["hostname"],
-                "system_name": sysrow["system_name"],
-                "processor_model": sysrow["processor_model"],
-                "architecture": sysrow["architecture"],
-                "processor_cores": sysrow["processor_cores"],
-                "processor_mhz": sysrow["processor_mhz"],
-                "cache_size_bytes": sysrow["cache_bytes"],
-                "memory_bytes": sysrow["memory_bytes"],
-            }
-        return knowledge
+        return self.fetch_many([knowledge_id])[0]
 
     def count(self, benchmark: str | None = None) -> int:
         """Number of stored knowledge objects (``SELECT COUNT``, no rows).
@@ -538,117 +512,44 @@ class KnowledgeRepository:
         return [int(r["id"]) for r in rows]
 
     def fetch_many(self, ids: Sequence[int]) -> list[Knowledge]:
-        """Load several knowledge objects with one query per table.
+        """Load several knowledge objects in three queries per id chunk.
 
-        ``load`` issues 2 + 2·summaries queries per object; comparing a
-        24-run sweep that way is ~100 round-trips through the backend.
-        Here the performances, summaries, results, filesystems and
-        systems rows for *all* requested ids are fetched in five
-        ``WHERE … IN`` queries per id chunk and assembled in Python.
-        Id lists are chunked (:data:`~repro.core.persistence.scan.SQL_VARIABLE_CHUNK`
-        ids per query) so fleet-scale fetches stay under SQLite's
-        host-variable limit instead of dying with ``too many SQL
-        variables``.  Input order is preserved; a missing id raises
+        One ``WHERE … IN`` query reads the performances rows of *all*
+        requested ids with their filesystems and systems rows joined on,
+        one their summaries and one their results; each searches its
+        foreign-key index.  :func:`_build_knowledge` assembles the
+        objects in Python.  Id lists are chunked
+        (:data:`~repro.core.persistence.scan.SQL_VARIABLE_CHUNK` ids per
+        query) so fleet-scale fetches stay under SQLite's host-variable
+        limit instead of dying with ``too many SQL variables``.  Input
+        order is preserved and every position gets its own object, a
+        repeated id included; a missing id raises
         :class:`PersistenceError`.
         """
-        unique = list(dict.fromkeys(int(i) for i in ids))
-        if not unique:
+        wanted = [int(i) for i in ids]
+        if not wanted:
             return []
-        by_id: dict[int, Knowledge] = {}
+        unique = list(dict.fromkeys(wanted))
+        performances: dict[int, Row] = {}
+        summaries: dict[int, list[Row]] = {}
+        results: dict[int, list[Row]] = {}
+        execute = self.db.execute
         for batch in chunked(unique):
-            marks = ", ".join("?" for _ in batch)
-            for row in self.db.execute(
-                f"SELECT * FROM performances WHERE id IN ({marks})", tuple(batch)
-            ).fetchall():
-                knowledge_id = int(row["id"])
-                by_id[knowledge_id] = Knowledge(
-                    benchmark=row["benchmark"],
-                    command=row["command"],
-                    api=row["api"],
-                    test_file=row["testFileName"],
-                    file_per_proc=bool(row["filePerProc"]),
-                    num_nodes=row["num_nodes"],
-                    num_tasks=row["num_tasks"],
-                    tasks_per_node=row["tasks_per_node"],
-                    start_time=row["start_time"],
-                    end_time=row["end_time"],
-                    parameters=json.loads(row["parameters_json"]),
-                    knowledge_id=knowledge_id,
-                )
-        missing = [i for i in unique if i not in by_id]
+            marks = ", ".join("?" * len(batch))
+            params = tuple(batch)
+            for row in execute(_PERFORMANCES_SELECT.format(marks=marks), params):
+                performances[row[0]] = row
+            for row in execute(_SUMMARIES_SELECT.format(marks=marks), params):
+                summaries.setdefault(row[1], []).append(row)
+            for row in execute(_RESULTS_SELECT.format(marks=marks), params):
+                results.setdefault(row[0], []).append(row)
+        missing = [i for i in unique if i not in performances]
         if missing:
             raise PersistenceError(f"no knowledge object(s) with id(s) {missing}")
-        for batch in chunked(unique):
-            marks = ", ".join("?" for _ in batch)
-            results_by_summary: dict[int, list[KnowledgeResult]] = {}
-            for r in self.db.execute(
-                f"SELECT r.* FROM results r JOIN summaries s ON s.id = r.summaries_id "
-                f"WHERE s.performance_id IN ({marks}) "
-                f"ORDER BY r.summaries_id, r.iteration",
-                tuple(batch),
-            ).fetchall():
-                results_by_summary.setdefault(int(r["summaries_id"]), []).append(
-                    KnowledgeResult(
-                        iteration=r["iteration"],
-                        bandwidth_mib=r["bandwidth"],
-                        iops=r["ops"],
-                        latency_s=r["latency"],
-                        open_time_s=r["openTime"],
-                        wrrd_time_s=r["wrRdTime"],
-                        close_time_s=r["closeTime"],
-                        total_time_s=r["totalTime"],
-                    )
-                )
-            for srow in self.db.execute(
-                f"SELECT * FROM summaries WHERE performance_id IN ({marks}) ORDER BY id",
-                tuple(batch),
-            ).fetchall():
-                by_id[int(srow["performance_id"])].summaries.append(
-                    KnowledgeSummary(
-                        operation=srow["operation"],
-                        api=srow["api"],
-                        bw_max=srow["bw_max"],
-                        bw_min=srow["bw_min"],
-                        bw_mean=srow["bw_mean"],
-                        bw_stddev=srow["bw_stddev"],
-                        ops_max=srow["ops_max"],
-                        ops_min=srow["ops_min"],
-                        ops_mean=srow["ops_mean"],
-                        ops_stddev=srow["ops_stddev"],
-                        iterations=srow["iterations"],
-                        results=results_by_summary.get(int(srow["id"]), []),
-                    )
-                )
-            for fsrow in self.db.execute(
-                f"SELECT * FROM filesystems WHERE performance_id IN ({marks})",
-                tuple(batch),
-            ).fetchall():
-                by_id[int(fsrow["performance_id"])].filesystem = FilesystemInfo(
-                    fs_type=fsrow["fs_type"],
-                    entry_type=fsrow["entry_type"],
-                    entry_id=fsrow["entry_id"],
-                    metadata_node=fsrow["metadata_node"],
-                    stripe_pattern=fsrow["stripe_pattern"],
-                    chunk_size=fsrow["chunk_size"],
-                    num_targets=fsrow["num_targets"],
-                    raid_scheme=fsrow["raid_scheme"],
-                    storage_pool=fsrow["storage_pool"],
-                )
-            for sysrow in self.db.execute(
-                f"SELECT * FROM systems WHERE performance_id IN ({marks})",
-                tuple(batch),
-            ).fetchall():
-                by_id[int(sysrow["performance_id"])].system = {
-                    "hostname": sysrow["hostname"],
-                    "system_name": sysrow["system_name"],
-                    "processor_model": sysrow["processor_model"],
-                    "architecture": sysrow["architecture"],
-                    "processor_cores": sysrow["processor_cores"],
-                    "processor_mhz": sysrow["processor_mhz"],
-                    "cache_size_bytes": sysrow["cache_bytes"],
-                    "memory_bytes": sysrow["memory_bytes"],
-                }
-        return [by_id[int(i)] for i in ids]
+        return [
+            _build_knowledge(performances[i], summaries.get(i, ()), results)
+            for i in wanted
+        ]
 
     def find_ids_by_parameter(self, key: str, value: str) -> list[int]:
         """Ids of knowledge objects whose ``parameters[key] == value``.

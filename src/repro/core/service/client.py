@@ -7,15 +7,19 @@ on another host — §V-C's "local or remote" choice is a URL::
     knowledge+service:///var/lib/repro/store?shards=4&queue=64
     knowledge+tcp://db-node:9477/?pool=4&timeout_ms=30000
 
-Both flavours run the same code path: :class:`ServiceClient` encodes
-each operation with the :mod:`repro.core.service.ops` codec, hands the
-payload to a transport (:class:`~repro.core.service.ops.LocalTransport`
-around an embedded :class:`~repro.core.service.service.
-KnowledgeService`, or :class:`~repro.core.service.transport.
-TcpTransport` speaking ``repro.wire/v1`` to ``repro-serve --listen``)
-and decodes the result back into the repository-shaped blocking API
-(``load`` / ``load_all`` / ``list_ids`` / ``count`` / ``exists`` /
-``save`` / ``save_many`` / ``delete``).
+Both flavours share one client: :class:`ServiceClient` encodes each
+operation's arguments with the :mod:`repro.core.service.ops` codec and
+hands the payload to a transport
+(:class:`~repro.core.service.ops.LocalTransport` around an embedded
+:class:`~repro.core.service.service.KnowledgeService`, or
+:class:`~repro.core.service.transport.TcpTransport` speaking
+``repro.wire/v1`` to ``repro-serve --listen``), behind the
+repository-shaped blocking API (``load`` / ``load_all`` / ``list_ids``
+/ ``count`` / ``exists`` / ``save`` / ``save_many`` / ``delete``).  A
+remote transport answers with a result payload, which the client
+decodes; the in-process transport answers with the service's own
+value, so an embedded read returns the fresh objects the shard's
+repository built, with no dict round trip.
 
 Failures are absorbed the same way on both paths, under one
 deterministic-jitter :class:`~repro.core.resilience.RetryPolicy`:
@@ -244,10 +248,11 @@ class ServiceClient:
 
     Accepts either an embedded :class:`KnowledgeService` (wrapped in a
     :class:`LocalTransport`) or any transport object exposing
-    ``call(op, payload, timeout_s=)`` / ``close()``.  ``timeout_s`` is
-    a *per-request deadline*: it bounds each transport wait **and**
-    clamps every retry backoff sleep, raising :class:`DeadlineError`
-    once the budget is spent.
+    ``call(op, payload, timeout_s=)`` / ``close()``; every transport
+    but :class:`LocalTransport` must answer with a result payload.
+    ``timeout_s`` is a *per-request deadline*: it bounds each transport
+    wait **and** clamps every retry backoff sleep, raising
+    :class:`DeadlineError` once the budget is spent.
     """
 
     def __init__(
@@ -265,6 +270,8 @@ class ServiceClient:
         self.service: "KnowledgeService | None" = getattr(
             self.transport, "service", None
         )
+        # Only a remote transport's answer is a result payload to decode.
+        self._decode = not isinstance(self.transport, LocalTransport)
         self.metrics = getattr(self.transport, "metrics", None)
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=8, base_delay_s=0.005, max_delay_s=0.25,
@@ -311,7 +318,7 @@ class ServiceClient:
         )
 
     # ------------------------------------------------------------------
-    # one code path: encode -> transport (with retry) -> decode
+    # encode -> transport (with retry) -> decode a remote answer
     # ------------------------------------------------------------------
     def _count_retry(self, exc: BaseException) -> None:
         if self.metrics is not None:
@@ -324,7 +331,7 @@ class ServiceClient:
         payload = encode_args(op, args)
         deadline = Deadline(self.timeout_s) if self.timeout_s is not None else None
 
-        def attempt() -> dict[str, object]:
+        def attempt() -> object:
             remaining: float | None = None
             if deadline is not None:
                 remaining = deadline.remaining_s
@@ -343,6 +350,8 @@ class ServiceClient:
             deadline=deadline, metrics=self.metrics, site="service-client",
             delay_override=_server_retry_after,
         )
+        if not self._decode:
+            return result
         try:
             return decode_result(op, result)  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError, PersistenceError) as exc:

@@ -4,20 +4,24 @@ The knowledge service's operations (``save``/``load``/``fetch_many``/
 ``find_by_parameter``/``count``/…) are defined here as *payloads*: a
 JSON-safe argument dict on the way in, a JSON-safe result dict on the
 way out, with :mod:`repro.core.persistence.transfer` carrying knowledge
-objects across.  Both transports speak exactly this model:
+objects across.  Arguments take the same path on both transports;
+results cross the codec only where there is a wire:
 
 * :class:`LocalTransport` — the ``knowledge+service://`` in-process
-  path: payloads are decoded straight into a
+  path: the argument payload is decoded (and validated) into a
   :class:`~repro.core.service.service.KnowledgeService` ``execute`` on
-  the caller's thread.
+  the caller's thread, and the caller gets ``execute``'s value as is.
+  A read hands back the fresh objects the shard's repository built.
 * the TCP path — payloads travel inside :mod:`repro.core.service.wire`
   frames to a ``repro-serve --listen`` server and on to its shard-group
-  worker processes.
+  worker processes, whose :meth:`ServiceDispatcher.call` encodes each
+  result for the client to decode.
 
-Because the in-process client round-trips through the same codec, a URL
-flip from ``knowledge+service://`` to ``knowledge+tcp://`` changes the
-transport and nothing else — the paper's §V-C "local or remote" choice,
-kept honest by construction.
+So a URL flip from ``knowledge+service://`` to ``knowledge+tcp://``
+changes the transport and nothing else — the paper's §V-C "local or
+remote" choice.  ``tests/core/test_ops_codec.py`` pins that the result
+codec gives back what the service returned, and the parity test in
+``tests/core/test_tcp_service.py`` that both transports answer alike.
 """
 
 from __future__ import annotations
@@ -180,34 +184,33 @@ def decode_result(op: str, payload: dict[str, object]) -> object:
 # dispatch
 # ----------------------------------------------------------------------
 class ServiceDispatcher:
-    """Execute decoded wire requests against one :class:`KnowledgeService`.
+    """Execute decoded requests against one :class:`KnowledgeService`.
 
-    The single choke point between "bytes from a peer" and the service:
-    argument payloads are validated here, so a malformed request becomes
-    a typed ``bad-request`` error frame instead of an arbitrary
-    exception (or a dead worker process).  Every op runs on the calling
-    thread through ``service.execute``.
+    The single choke point between "payloads from a caller or a peer"
+    and the service: argument payloads are validated here, so a
+    malformed request becomes a typed ``bad-request`` error instead of
+    an arbitrary exception (or a dead worker process).  Every op runs on
+    the calling thread through ``service.execute``.
     """
 
     def __init__(self, service: "KnowledgeService") -> None:
         self.service = service
 
-    def call(self, op: str, payload: dict[str, object]) -> dict[str, object]:
-        """Run one operation payload-to-payload; raises typed errors."""
+    def run(self, op: str, payload: dict[str, object]) -> object:
+        """Run one operation from its argument payload; returns the
+        service's own value (fresh objects for a read)."""
         if op == "ping":
-            return {}
+            return None
         if op == "stats":
-            return {"stats": self.service.stats()}
+            return self.service.stats()
         if op == "health":
             # The embedded service has no worker processes or
             # supervisor — healthy as long as it answers at all.
             return {
-                "health": {
-                    "status": "healthy",
-                    "shards": self.service.shard_map.num_shards,
-                    "supervised": False,
-                    "workers": [],
-                }
+                "status": "healthy",
+                "shards": self.service.shard_map.num_shards,
+                "supervised": False,
+                "workers": [],
             }
         try:
             args = decode_args(op, payload)
@@ -221,19 +224,26 @@ class ServiceDispatcher:
             )
             error.wire_code = "bad-request"  # type: ignore[attr-defined]
             raise error from exc
-        return encode_result(op, self.service.execute(op, *args))
+        return self.service.execute(op, *args)
+
+    def call(self, op: str, payload: dict[str, object]) -> dict[str, object]:
+        """Run one operation payload-to-payload (a shard-group worker's
+        path); raises typed errors."""
+        return encode_result(op, self.run(op, payload))
 
 
 class LocalTransport:
-    """The in-process transport: same codec, no socket.
+    """The in-process transport: no socket, no result codec.
 
     Wraps an embedded :class:`KnowledgeService` behind the transport
     interface (``call``/``close``/``server_info``) so
-    :class:`~repro.core.service.client.ServiceClient` runs one code
-    path for ``knowledge+service://`` and ``knowledge+tcp://``.
-    Exceptions propagate natively (no error-frame round trip): the
-    classes and ``transient`` flags are identical to what the wire
-    codec would reconstruct, with full local detail preserved.
+    :class:`~repro.core.service.client.ServiceClient` serves
+    ``knowledge+service://`` and ``knowledge+tcp://`` alike.  ``call``
+    takes an argument payload, as a remote transport does, but returns
+    the service's value itself, not a result payload.  Exceptions
+    propagate natively (no error-frame round trip): the classes and
+    ``transient`` flags are identical to what the wire codec would
+    reconstruct, with full local detail preserved.
 
     An op runs to completion on the caller's thread, so ``timeout_s``
     cannot cut it short: the client's deadline is checked before each
@@ -256,9 +266,9 @@ class LocalTransport:
 
     def call(
         self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
-    ) -> dict[str, object]:
-        """Run one operation against the embedded service."""
-        return self.dispatcher.call(op, payload)
+    ) -> object:
+        """Run one operation against the embedded service; returns its value."""
+        return self.dispatcher.run(op, payload)
 
     def close(self) -> None:
         """Close the embedded service (and its shards)."""

@@ -67,9 +67,9 @@ class KnowledgeService:
     The service starts no threads of its own and is a context manager;
     ``close()`` closes every shard, and later requests are refused.
 
-    Every read builds its own objects from the shards, so a caller may
-    mutate what it gets back without touching the store or another
-    reader's copy.
+    Every read builds its own objects from the shards (one per answer
+    position, a repeated id included), so a caller may mutate what it
+    gets back without touching the store or another reader's copy.
     """
 
     def __init__(
@@ -265,14 +265,15 @@ class KnowledgeService:
         return self._op_fetch_many(self._op_list_ids(benchmark))
 
     def _op_fetch_many(self, global_ids: Sequence[int]) -> list[Knowledge]:
-        """Batched load: the distinct ids of each shard are fetched with
-        one repository round-trip (``fetch_many``) under that shard's
-        lock; a repeated id shares one object in the answer."""
-        unique = dict.fromkeys(int(i) for i in global_ids)
-        groups = group_by_owner(unique, lambda gid: self.shard_map.shard_of(gid)[0].index)
+        """Batched load: each shard's ids are fetched with one
+        repository round-trip (``fetch_many``) under that shard's lock.
+        Every position of the answer is its own object, a repeated id
+        included."""
+        ids = [int(i) for i in global_ids]
+        groups = group_by_owner(ids, lambda gid: self.shard_map.shard_of(gid)[0].index)
         for index in groups:
             self._check_owned(index)
-        out: dict[int, Knowledge] = {}
+        out: list[Knowledge] = [None] * len(ids)  # type: ignore[list-item]
         for index, group in groups.items():
             shard = self.shard_map.shards[index]
             local_ids = [self.shard_map.shard_of(gid)[1] for _, gid in group]
@@ -280,10 +281,10 @@ class KnowledgeService:
             with shard.lock:
                 loaded = shard.repository.fetch_many(local_ids)
             self._observe_shard(shard, time.perf_counter() - start)
-            for (_, global_id), knowledge in zip(group, loaded):
+            for (position, global_id), knowledge in zip(group, loaded):
                 knowledge.knowledge_id = global_id
-                out[global_id] = knowledge
-        return [out[int(i)] for i in global_ids]
+                out[position] = knowledge
+        return out
 
     def _op_find_by_parameter(self, key: str, value: str) -> list[int]:
         """Global ids whose ``parameters[key] == value``, across shards.

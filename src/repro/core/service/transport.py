@@ -4,7 +4,7 @@
 ServiceClient` the same ``call(op, payload)`` surface as the in-process
 :class:`~repro.core.service.ops.LocalTransport`, but over a bounded
 pool of ``repro.wire/v1`` connections to a ``repro-serve --listen``
-server:
+server, and answers with the result payload for the client to decode:
 
 * **bounded pool** — at most ``pool_size`` concurrent connections;
   idle sockets are reused, a dead one is discarded and redialed.

@@ -10,7 +10,9 @@ with the model, and:
   launcher the model says holds it;
 * a token completes at most once;
 * a launcher whose lease was stolen (or that never held it) gets
-  :class:`LeaseLostError` from every owner-guarded call;
+  :class:`LeaseLostError` from every owner-guarded call, while the
+  holder of a RESTARTING job may still complete it or fail it (a
+  retried failure within budget requeues it);
 * ``attempts`` never decreases, except that a release by the lease
   holder hands back the one attempt its own acquire spent.
 
@@ -134,11 +136,13 @@ class CampaignLeaseMachine(RuleBasedStateMachine):
         model = self.model[job_id]
         holds = model.holder == owner
         requeue = op == "fail" and retryable and model.attempts < MAX_ATTEMPTS
-        if op in ("heartbeat", "release") or requeue:
-            # A release or a retried failure passes through RESTARTING,
-            # so it must start from RUNNING, as a heartbeat must.
+        if op in ("heartbeat", "release"):
+            # A heartbeat renews a running lease, and a release passes
+            # through RESTARTING: both must start from RUNNING.
             ok = holds and model.state == "RUNNING"
         else:
+            # The holder of a stolen or reclaimed (RESTARTING) job may
+            # complete it, fail it, or requeue it by a retried failure.
             ok = holds and model.state in ("RUNNING", "RESTARTING")
         calls = {
             "heartbeat": lambda: self.store.heartbeat(
@@ -252,4 +256,42 @@ def test_release_by_a_stale_owner_is_refused():
         store.release(job.job_id, "A")
     held = store.job(job.job_id)
     assert (held.state, held.lease_owner, held.attempts) == ("RUNNING", "B", 2)
+    store.close()
+
+
+def _stolen_job(max_attempts):
+    """A one-job campaign whose job "A" acquired and "B" then stole."""
+    store = CampaignStore(":memory:")
+    spec = CampaignSpec(
+        name="stolen", benchmark="noop", parameters={"idx": "0"},
+        fixed={"duration_ms": "0"}, max_attempts=max_attempts,
+    )
+    cid = store.submit(spec, "sqlite://:memory:")
+    job = store.acquire(cid, "A", now=0.0, lease_s=1.0)
+    stolen = store.steal(cid, "B", now=2.0)
+    assert (stolen.job_id, stolen.state, stolen.lease_owner) == (
+        job.job_id, "RESTARTING", "B"
+    )
+    return store, job.job_id
+
+
+def test_retried_failure_by_the_thief_requeues_a_stolen_job():
+    """The holder of a RESTARTING job fails it as retryable: within the
+    retry budget the job goes back to READY, lease cleared, instead of
+    a LeaseLostError from a RUNNING -> RESTARTING step it cannot take."""
+    store, job_id = _stolen_job(max_attempts=3)
+    with pytest.raises(LeaseLostError):
+        store.fail(job_id, "boom", retryable=True, owner="A")  # the victim
+    requeued = store.fail(job_id, "boom", retryable=True, owner="B")
+    assert (requeued.state, requeued.lease_owner, requeued.lease_expires_at) == (
+        "READY", None, None
+    )
+    assert (requeued.attempts, requeued.error) == (1, "boom")
+    store.close()
+
+
+def test_retried_failure_of_a_stolen_job_past_its_budget_fails_it():
+    store, job_id = _stolen_job(max_attempts=1)
+    failed = store.fail(job_id, "boom", retryable=True, owner="B")
+    assert (failed.state, failed.lease_owner, failed.error) == ("FAILED", None, "boom")
     store.close()

@@ -1,7 +1,8 @@
 """Read results never alias the stored knowledge.
 
-Every read builds its own :class:`Knowledge` objects from the shards,
-and each client gets its own copy from the wire codec.  So a caller
+Every read builds its own :class:`Knowledge` objects from the shards:
+an embedded client gets those objects, a ``knowledge+tcp://`` client
+its own copy from the wire codec.  So a caller
 that mutates what ``load`` or ``fetch_many`` returned — appends a
 summary, edits a parameter, swaps the system dict, rewrites a result —
 must still read the stored values back, embedded and over

@@ -10,7 +10,6 @@ transport errors in clients instead of hangs.
 
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -19,7 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.knowledge import Knowledge, KnowledgeResult, KnowledgeSummary
+from repro.core.knowledge import (
+    FilesystemInfo,
+    Knowledge,
+    KnowledgeResult,
+    KnowledgeSummary,
+)
 from repro.core.metrics import MetricsRegistry
 from repro.core.persistence.scan import ScanQuery
 from repro.core.resilience import RetryPolicy
@@ -27,7 +31,7 @@ from repro.core.service.client import ServiceClient, parse_tcp_url
 from repro.core.service.server import KnowledgeServer
 from repro.core.service.service import KnowledgeService
 from repro.core.service.shard import KnowledgeShardMap, decode_knowledge_id
-from repro.core.service.wire import PROTOCOL
+from repro.core.service.wire import PROTOCOL, error_code
 from repro.util.errors import (
     PersistenceError,
     ServiceError,
@@ -220,6 +224,101 @@ class TestTcpParity:
             assert client.transport.pool_size == 2
             assert client.transport.timeout_s == 5.0
             assert client.ping() is True
+
+
+# ----------------------------------------------------------------------
+# transport parity: the in-process pass-through against the wire codec
+# ----------------------------------------------------------------------
+def _parity_rows() -> list[Knowledge]:
+    """One row set covering the object shapes the read builder handles."""
+    rows = [make_knowledge(m, host=f"h{m % 3}") for m in range(6)]
+    rows[1].filesystem = FilesystemInfo(
+        entry_type="file", entry_id="1-A-1", metadata_node="meta01",
+        stripe_pattern="RAID0", chunk_size="512K", num_targets=4,
+    )
+    rows[2].system = None
+    rows[3].summaries = []
+    rows[4].summaries[0].results = []
+    rows[5].benchmark = "hacc-io"
+    return rows
+
+
+def _scribble(knowledge: Knowledge) -> None:
+    """Change every mutable layer of a read object in place."""
+    knowledge.parameters["marker"] = "mutated"
+    knowledge.summaries.clear()
+    if knowledge.system is not None:
+        knowledge.system["hostname"] = "elsewhere"
+
+
+class TestTransportParity:
+    """``knowledge+service://`` hands the caller the objects the shard's
+    repository built; ``knowledge+tcp://`` rebuilds them from the wire
+    codec.  Both must answer alike."""
+
+    @pytest.fixture()
+    def clients(self, server, tmp_path):
+        shard_map = KnowledgeShardMap(tmp_path / "embedded", num_shards=2)
+        local = ServiceClient(KnowledgeService(shard_map), sleep=lambda s: None)
+        remote = ServiceClient.open(_url(server))
+        try:
+            ids = [client.save_many(_parity_rows()) for client in (local, remote)]
+            assert ids[0] == ids[1]  # same placement, same global ids
+            yield local, remote, ids[0]
+        finally:
+            local.close()
+            remote.close()
+
+    def test_parity_of_reads(self, clients):
+        local, remote, ids = clients
+        for gid in ids:
+            assert local.load(gid) == remote.load(gid)
+        assert local.fetch_many(ids[::-1]) == remote.fetch_many(ids[::-1])
+        assert local.load_all() == remote.load_all()
+        assert local.load_all("hacc-io") == remote.load_all("hacc-io")
+        for query in (
+            ScanQuery(group_by=("operation",)),
+            ScanQuery(benchmark="ior", group_by=("num_nodes",), percentiles=(50.0,)),
+        ):
+            assert local.scan(query) == remote.scan(query)
+        assert local.ping() is remote.ping() is True
+        assert local.health()["status"] == remote.health()["status"] == "healthy"
+        assert local.stats()["rows_per_shard"] == remote.stats()["rows_per_shard"]
+
+    def test_parity_of_a_missing_id(self, clients):
+        local, remote, ids = clients
+        failures = []
+        for client in (local, remote):
+            client.delete(ids[0])
+            for read in (lambda: client.load(ids[0]), lambda: client.fetch_many(ids)):
+                with pytest.raises(PersistenceError) as excinfo:
+                    read()
+                failures.append((type(excinfo.value), error_code(excinfo.value)))
+        assert failures == [(PersistenceError, "persistence")] * 4
+
+    def test_parity_of_repeated_ids_gives_independent_objects(self, clients):
+        local, remote, ids = clients
+        wanted = [ids[0], ids[2], ids[0], ids[1], ids[2]]
+        fetched = {}
+        for name, client in (("local", local), ("remote", remote)):
+            got = client.fetch_many(wanted)
+            assert [k.knowledge_id for k in got] == wanted
+            assert got[0] == got[2] and got[1] == got[4]
+            _scribble(got[0])
+            _scribble(got[1])
+            fetched[name] = got
+        assert fetched["local"][2:] == fetched["remote"][2:]
+        assert fetched["local"][2] == local.load(ids[0])
+        assert fetched["local"][4] == local.load(ids[2])
+
+    def test_parity_of_a_malformed_save(self, clients):
+        local, remote, _ = clients
+        payload = {"knowledge": {"data": {"type": "knowledge"}, "id": None}}
+        for client in (local, remote):
+            with pytest.raises(WireProtocolError) as excinfo:
+                client.transport.call("save", payload)
+            assert error_code(excinfo.value) == "bad-request"
+        assert local.count() == remote.count() == len(_parity_rows())
 
 
 # ----------------------------------------------------------------------
