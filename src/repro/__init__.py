@@ -27,7 +27,7 @@ Quickstart::
 
 from repro.core.cycle import CycleResult, KnowledgeCycle
 from repro.core.knowledge import IO500Knowledge, Knowledge
-from repro.core.persistence.backend import BatchedBackend, PersistenceBackend
+from repro.core.persistence.backend import PersistenceBackend
 from repro.core.persistence.database import KnowledgeDatabase
 from repro.core.pipeline import (
     LoggingObserver,
@@ -47,7 +47,6 @@ __all__ = [
     "IO500Knowledge",
     "KnowledgeDatabase",
     "PersistenceBackend",
-    "BatchedBackend",
     "PhaseRegistry",
     "PhaseObserver",
     "TimingObserver",

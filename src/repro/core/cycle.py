@@ -319,8 +319,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     [--metrics-json PATH] [--inject-fault P]
 
     Without ``--config``, a small built-in IOR sweep demonstrates the
-    cycle.  ``--retries`` arms per-phase retry with deterministic
-    backoff (and wraps the database in a :class:`ResilientBackend`),
+    cycle.  The database is always wrapped in a
+    :class:`ResilientBackend`; ``--retries`` arms per-phase retry with
+    deterministic backoff (and retries transient database errors),
     ``--phase-timeout`` bounds each phase's wall time, and
     ``--on-failure=skip`` quarantines a failed revolution instead of
     aborting the run.  ``--metrics-json`` writes the run's metrics
@@ -431,8 +432,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         observers.append(MetricsObserver(metrics))
     try:
         with KnowledgeDatabase(args.db, metrics=metrics) as db:
-            backend: PersistenceBackend = (
-                ResilientBackend(db, metrics=metrics) if args.retries > 0 else db
+            # One write path: without --retries the backend makes one
+            # attempt per write, still behind the breaker and counted.
+            backend = ResilientBackend(
+                db,
+                retry_policy=None if args.retries > 0 else RetryPolicy(max_attempts=1),
+                metrics=metrics,
             )
             testbed = Testbed.fuchs_csc(seed=args.seed)
             if metrics is not None:

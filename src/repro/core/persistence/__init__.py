@@ -1,12 +1,11 @@
 """Phase III: knowledge persistence behind the backend protocol.
 
 The repositories depend on :class:`PersistenceBackend`; the built-in
-implementations are the synchronous SQLite :class:`KnowledgeDatabase`
-(local file or ``sqlite://`` URL) and the commit-coalescing
-:class:`BatchedBackend` wrapper.
+implementation is the synchronous SQLite :class:`KnowledgeDatabase`
+(local file or ``sqlite://`` URL).
 """
 
-from repro.core.persistence.backend import BatchedBackend, PersistenceBackend
+from repro.core.persistence.backend import PersistenceBackend
 from repro.core.persistence.database import KnowledgeDatabase, resolve_database_target
 from repro.core.persistence.io500_repo import IO500Repository
 from repro.core.persistence.queries import KnowledgeQueries, SummaryRow
@@ -31,7 +30,6 @@ from repro.core.persistence.transfer import (
 
 __all__ = [
     "PersistenceBackend",
-    "BatchedBackend",
     "KnowledgeDatabase",
     "resolve_database_target",
     "KnowledgeRepository",

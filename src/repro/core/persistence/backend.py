@@ -6,15 +6,14 @@ repositories therefore depend on the :class:`PersistenceBackend`
 protocol, not on a concrete engine: anything that can execute
 parameterised SQL against the paper's schema and manage transactions
 can hold the knowledge base.  :class:`~repro.core.persistence.database.
-KnowledgeDatabase` is the synchronous SQLite backend;
-:class:`BatchedBackend` wraps any backend and coalesces a burst of
-per-object commits into a single transaction — the write path for
-ingesting large corpora such as the public IO500 submission data.
-:class:`ResilientBackend` wraps any backend with retry/backoff against
-transient driver errors ("database is locked") and a circuit breaker
-that fails writes fast with a typed transient error once the database
-is wedged, while reads keep passing through — the caller re-runs the
-whole operation, so no write is ever half-saved or saved twice.
+KnowledgeDatabase` is the synchronous SQLite backend; a bulk ingest
+groups its writes with ``transaction()`` or a repository's
+``save_many``.  :class:`ResilientBackend` wraps any backend with
+retry/backoff against transient driver errors ("database is locked")
+and a circuit breaker that fails writes fast with a typed transient
+error once the database is wedged, while reads keep passing through —
+the caller re-runs the whole operation, so no write is ever half-saved
+or saved twice.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
 
 __all__ = [
     "PersistenceBackend",
-    "BatchedBackend",
     "ResilientBackend",
     "transient_db_error",
 ]
@@ -69,70 +67,6 @@ class PersistenceBackend(Protocol):
     def table_count(self, table: str) -> int:
         """Row count of one table (for tests and reports)."""
         ...
-
-
-class BatchedBackend:
-    """Defer commits so many ``save()`` calls share one transaction.
-
-    Repositories commit after every object; over a large ingest that
-    costs one fsync per object.  This wrapper turns each inner
-    ``commit()`` into a deferral and makes the whole batch durable at
-    :meth:`flush` (or ``close()``/context-manager exit), so a thousand
-    saves hit the disk once.  ``rollback()`` abandons the entire
-    pending batch — the all-or-nothing semantics of one transaction.
-    """
-
-    def __init__(self, backend: PersistenceBackend) -> None:
-        self.backend = backend
-        self.pending_commits = 0
-
-    # -- write path ----------------------------------------------------
-    def execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
-        """Run one statement on the wrapped backend."""
-        return self.backend.execute(sql, params)
-
-    def executemany(self, sql: str, seq_of_params: Iterable[Sequence]) -> sqlite3.Cursor:
-        """Run one statement over many rows on the wrapped backend."""
-        return self.backend.executemany(sql, seq_of_params)
-
-    def commit(self) -> None:
-        """Record the commit request; durability is deferred to flush()."""
-        self.pending_commits += 1
-
-    def rollback(self) -> None:
-        """Abandon every deferred write."""
-        self.pending_commits = 0
-        self.backend.rollback()
-
-    def flush(self) -> None:
-        """Commit everything deferred since the last flush."""
-        if self.pending_commits:
-            self.pending_commits = 0
-            self.backend.commit()
-
-    def close(self) -> None:
-        """Flush, then close the wrapped backend."""
-        self.flush()
-        self.backend.close()
-
-    def transaction(self):
-        """Delegate grouping to the wrapped backend's transaction."""
-        return self.backend.transaction()
-
-    # -- read path -----------------------------------------------------
-    def table_count(self, table: str) -> int:
-        """Row count of one table (reads see the pending batch)."""
-        return self.backend.table_count(table)
-
-    def __enter__(self) -> "BatchedBackend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.flush()
-        else:
-            self.rollback()
-        self.close()
 
 
 # ----------------------------------------------------------------------

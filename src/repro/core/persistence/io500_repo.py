@@ -10,6 +10,7 @@ table and IOFHsResults table."
 
 from __future__ import annotations
 
+from sqlite3 import Row
 from typing import Sequence
 
 from repro.core.knowledge import IO500Knowledge, IO500Testcase
@@ -18,6 +19,50 @@ from repro.core.persistence.scan import chunked
 from repro.util.errors import PersistenceError
 
 __all__ = ["IO500Repository"]
+
+
+def _build_io500(
+    run: Row,
+    score: Row,
+    testcases: Sequence[Row],
+    options: dict[int, list[Row]],
+    results: dict[int, Row],
+    system: Row | None,
+) -> IO500Knowledge:
+    """One fresh :class:`IO500Knowledge` from its rows (the read path's builder)."""
+    knowledge = IO500Knowledge(
+        score_total=score["score_total"],
+        score_bw=score["score_bw"],
+        score_md=score["score_md"],
+        num_nodes=run["num_nodes"],
+        num_tasks=run["num_tasks"],
+        timestamp=run["timestamp"],
+        version=run["version"],
+        iofh_id=int(run["id"]),
+    )
+    for tc in testcases:
+        result = results.get(int(tc["id"]))
+        knowledge.testcases.append(
+            IO500Testcase(
+                name=tc["name"],
+                value=result["value"] if result else 0.0,
+                unit=result["unit"] if result else "",
+                time_s=result["time_s"] if result else 0.0,
+                options={r["key"]: r["value"] for r in options.get(int(tc["id"]), ())},
+            )
+        )
+    if system is not None:
+        knowledge.system = {
+            "hostname": system["hostname"],
+            "system_name": system["system_name"],
+            "processor_model": system["processor_model"],
+            "architecture": system["architecture"],
+            "processor_cores": system["processor_cores"],
+            "processor_mhz": system["processor_mhz"],
+            "cache_size_bytes": system["cache_bytes"],
+            "memory_bytes": system["memory_bytes"],
+        }
+    return knowledge
 
 
 class IO500Repository:
@@ -88,61 +133,7 @@ class IO500Repository:
 
     def load(self, iofh_id: int) -> IO500Knowledge:
         """Load one IO500 run by IOFH id."""
-        run = self.db.execute("SELECT * FROM IOFHsRuns WHERE id = ?", (iofh_id,)).fetchone()
-        if run is None:
-            raise PersistenceError(f"no IO500 run with IOFH id {iofh_id}")
-        score = self.db.execute(
-            "SELECT * FROM IOFHsScores WHERE IOFH_id = ?", (iofh_id,)
-        ).fetchone()
-        if score is None:
-            raise PersistenceError(f"IO500 run {iofh_id} has no score row")
-        knowledge = IO500Knowledge(
-            score_total=score["score_total"],
-            score_bw=score["score_bw"],
-            score_md=score["score_md"],
-            num_nodes=run["num_nodes"],
-            num_tasks=run["num_tasks"],
-            timestamp=run["timestamp"],
-            version=run["version"],
-            iofh_id=iofh_id,
-        )
-        for tc in self.db.execute(
-            "SELECT * FROM IOFHsTestcases WHERE IOFH_id = ? ORDER BY id", (iofh_id,)
-        ).fetchall():
-            options = {
-                r["key"]: r["value"]
-                for r in self.db.execute(
-                    "SELECT * FROM IOFHsOptions WHERE testcase_id = ? ORDER BY key",
-                    (tc["id"],),
-                ).fetchall()
-            }
-            result = self.db.execute(
-                "SELECT * FROM IOFHsResults WHERE testcase_id = ?", (tc["id"],)
-            ).fetchone()
-            knowledge.testcases.append(
-                IO500Testcase(
-                    name=tc["name"],
-                    value=result["value"] if result else 0.0,
-                    unit=result["unit"] if result else "",
-                    time_s=result["time_s"] if result else 0.0,
-                    options=options,
-                )
-            )
-        sysrow = self.db.execute(
-            "SELECT * FROM systems WHERE IOFH_id = ?", (iofh_id,)
-        ).fetchone()
-        if sysrow is not None:
-            knowledge.system = {
-                "hostname": sysrow["hostname"],
-                "system_name": sysrow["system_name"],
-                "processor_model": sysrow["processor_model"],
-                "architecture": sysrow["architecture"],
-                "processor_cores": sysrow["processor_cores"],
-                "processor_mhz": sysrow["processor_mhz"],
-                "cache_size_bytes": sysrow["cache_bytes"],
-                "memory_bytes": sysrow["memory_bytes"],
-            }
-        return knowledge
+        return self.fetch_many([iofh_id])[0]
 
     def list_ids(self) -> list[int]:
         """All IOFH run ids."""
@@ -152,100 +143,66 @@ class IO500Repository:
     def fetch_many(self, ids: Sequence[int]) -> list[IO500Knowledge]:
         """Load several IO500 runs with chunked multi-row queries.
 
-        The batched sibling of :meth:`load`: runs, scores, testcases,
-        options, results and system rows for all requested ids come
-        back in six ``WHERE … IN`` queries per id chunk instead of
-        ``load``'s 3 + 2·testcases round-trips per run.  Input order is
-        preserved; a missing id raises :class:`PersistenceError`.
+        Runs, scores, testcases, options, results and system rows for
+        all requested ids come back in six ``WHERE … IN`` queries per id
+        chunk; :func:`_build_io500` assembles the objects in Python.
+        Input order is preserved and every position gets its own object,
+        a repeated id included; a missing id raises
+        :class:`PersistenceError`.
         """
-        unique = list(dict.fromkeys(int(i) for i in ids))
-        if not unique:
+        wanted = [int(i) for i in ids]
+        if not wanted:
             return []
-        by_id: dict[int, IO500Knowledge] = {}
+        unique = list(dict.fromkeys(wanted))
+        runs: dict[int, Row] = {}
+        scores: dict[int, Row] = {}
+        testcases: dict[int, list[Row]] = {}
+        options: dict[int, list[Row]] = {}
+        results: dict[int, Row] = {}
+        systems: dict[int, Row] = {}
+        execute = self.db.execute
         for batch in chunked(unique):
-            marks = ", ".join("?" for _ in batch)
-            runs = {
-                int(r["id"]): r
-                for r in self.db.execute(
-                    f"SELECT * FROM IOFHsRuns WHERE id IN ({marks})", tuple(batch)
-                ).fetchall()
-            }
-            missing = [i for i in batch if i not in runs]
-            if missing:
-                raise PersistenceError(
-                    f"no IO500 run(s) with IOFH id(s) {missing}"
-                )
-            scores = {
-                int(r["IOFH_id"]): r
-                for r in self.db.execute(
-                    f"SELECT * FROM IOFHsScores WHERE IOFH_id IN ({marks})",
-                    tuple(batch),
-                ).fetchall()
-            }
-            unscored = [i for i in batch if i not in scores]
-            if unscored:
-                raise PersistenceError(
-                    f"IO500 run {unscored[0]} has no score row"
-                )
-            for iofh_id in batch:
-                run, score = runs[iofh_id], scores[iofh_id]
-                by_id[iofh_id] = IO500Knowledge(
-                    score_total=score["score_total"],
-                    score_bw=score["score_bw"],
-                    score_md=score["score_md"],
-                    num_nodes=run["num_nodes"],
-                    num_tasks=run["num_tasks"],
-                    timestamp=run["timestamp"],
-                    version=run["version"],
-                    iofh_id=iofh_id,
-                )
-            options_by_tc: dict[int, dict[str, str]] = {}
-            for r in self.db.execute(
+            marks = ", ".join("?" * len(batch))
+            params = tuple(batch)
+            for row in execute(f"SELECT * FROM IOFHsRuns WHERE id IN ({marks})", params):
+                runs[int(row["id"])] = row
+            for row in execute(
+                f"SELECT * FROM IOFHsScores WHERE IOFH_id IN ({marks})", params
+            ):
+                scores[int(row["IOFH_id"])] = row
+            for row in execute(
+                f"SELECT * FROM IOFHsTestcases WHERE IOFH_id IN ({marks}) ORDER BY id",
+                params,
+            ):
+                testcases.setdefault(int(row["IOFH_id"]), []).append(row)
+            for row in execute(
                 "SELECT o.* FROM IOFHsOptions o "
                 "JOIN IOFHsTestcases t ON t.id = o.testcase_id "
                 f"WHERE t.IOFH_id IN ({marks}) ORDER BY o.key",
-                tuple(batch),
-            ).fetchall():
-                options_by_tc.setdefault(int(r["testcase_id"]), {})[r["key"]] = (
-                    r["value"]
-                )
-            results_by_tc = {
-                int(r["testcase_id"]): r
-                for r in self.db.execute(
-                    "SELECT r.* FROM IOFHsResults r "
-                    "JOIN IOFHsTestcases t ON t.id = r.testcase_id "
-                    f"WHERE t.IOFH_id IN ({marks})",
-                    tuple(batch),
-                ).fetchall()
-            }
-            for tc in self.db.execute(
-                f"SELECT * FROM IOFHsTestcases WHERE IOFH_id IN ({marks}) ORDER BY id",
-                tuple(batch),
-            ).fetchall():
-                result = results_by_tc.get(int(tc["id"]))
-                by_id[int(tc["IOFH_id"])].testcases.append(
-                    IO500Testcase(
-                        name=tc["name"],
-                        value=result["value"] if result else 0.0,
-                        unit=result["unit"] if result else "",
-                        time_s=result["time_s"] if result else 0.0,
-                        options=options_by_tc.get(int(tc["id"]), {}),
-                    )
-                )
-            for sysrow in self.db.execute(
-                f"SELECT * FROM systems WHERE IOFH_id IN ({marks})", tuple(batch)
-            ).fetchall():
-                by_id[int(sysrow["IOFH_id"])].system = {
-                    "hostname": sysrow["hostname"],
-                    "system_name": sysrow["system_name"],
-                    "processor_model": sysrow["processor_model"],
-                    "architecture": sysrow["architecture"],
-                    "processor_cores": sysrow["processor_cores"],
-                    "processor_mhz": sysrow["processor_mhz"],
-                    "cache_size_bytes": sysrow["cache_bytes"],
-                    "memory_bytes": sysrow["memory_bytes"],
-                }
-        return [by_id[int(i)] for i in ids]
+                params,
+            ):
+                options.setdefault(int(row["testcase_id"]), []).append(row)
+            for row in execute(
+                "SELECT r.* FROM IOFHsResults r "
+                "JOIN IOFHsTestcases t ON t.id = r.testcase_id "
+                f"WHERE t.IOFH_id IN ({marks})",
+                params,
+            ):
+                results[int(row["testcase_id"])] = row
+            for row in execute(f"SELECT * FROM systems WHERE IOFH_id IN ({marks})", params):
+                systems[int(row["IOFH_id"])] = row
+        missing = [i for i in unique if i not in runs]
+        if missing:
+            raise PersistenceError(f"no IO500 run(s) with IOFH id(s) {missing}")
+        unscored = [i for i in unique if i not in scores]
+        if unscored:
+            raise PersistenceError(f"IO500 run {unscored[0]} has no score row")
+        return [
+            _build_io500(
+                runs[i], scores[i], testcases.get(i, ()), options, results, systems.get(i)
+            )
+            for i in wanted
+        ]
 
     def load_all(self) -> list[IO500Knowledge]:
         """Load every stored IO500 run (batched, not per-row)."""

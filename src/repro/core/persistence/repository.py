@@ -51,7 +51,7 @@ _AGG_UPSERT = """
         vmax = MAX(vmax, excluded.vmax)
 """
 
-# The read path's two SELECTs.  Each names its columns in the field
+# The read path's three SELECTs.  Each names its columns in the field
 # order of the dataclasses built from it, so _build_knowledge takes rows
 # positionally instead of by column name.  A knowledge object's
 # filesystem and system rows ride on its performances row (one each at
@@ -78,7 +78,7 @@ _RESULTS_SELECT = (
     "SELECT r.summaries_id, r.iteration, r.bandwidth, r.ops, r.latency, "
     "r.openTime, r.wrRdTime, r.closeTime, r.totalTime "
     "FROM results r JOIN summaries s ON s.id = r.summaries_id "
-    "WHERE s.performance_id IN ({marks}) ORDER BY r.summaries_id, r.iteration"
+    "WHERE s.performance_id IN ({marks}) ORDER BY r.summaries_id, r.id"
 )
 #: Keys of a loaded ``Knowledge.system`` dict, in ``_PERFORMANCES_SELECT`` order.
 _SYSTEM_KEYS = (
@@ -112,8 +112,8 @@ class KnowledgeRepository:
     """CRUD for benchmark knowledge objects.
 
     Depends only on the :class:`PersistenceBackend` protocol, so any
-    conforming engine (plain SQLite, batched, future async/sharded
-    backends) can hold the knowledge base.
+    conforming engine (plain SQLite, the resilient wrapper, future
+    async/sharded backends) can hold the knowledge base.
     """
 
     def __init__(self, db: PersistenceBackend) -> None:

@@ -30,7 +30,10 @@ arithmetic as :meth:`PercentileSketch._bucket`, in one ``GROUP BY`` pass.
 
 :func:`fold_scan` is the executable specification: the same query
 evaluated as a plain Python fold over already-loaded knowledge
-objects.  Tests (and ``repro-bench scan``) hold ``scan()`` to it.
+objects.  :func:`scan_results_match` is the comparison that holds
+``scan()`` to it: the tests in ``tests/core/test_scan.py`` (value
+identity embedded and over ``knowledge+tcp://``, and the 10x speed gate
+over the row-loop fold) and the ``perfbench/`` scan checks both use it.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
     "merge_partial_payloads",
     "finalize_partials",
     "fold_scan",
+    "scan_results_match",
 ]
 
 T = TypeVar("T")
@@ -541,9 +545,9 @@ def fold_scan(query: ScanQuery, objects: Iterable) -> ScanResult:
     """Evaluate ``query`` as a plain fold over knowledge objects.
 
     This is the row-loop the scan API replaces — kept as the reference
-    implementation so tests and ``repro-bench scan`` can hold the SQL
-    pushdown to it value-for-value.  Accepts any iterable of
-    :class:`~repro.core.knowledge.Knowledge`.
+    implementation so tests and ``perfbench/`` can hold the SQL
+    pushdown to it value-for-value with :func:`scan_results_match`.
+    Accepts any iterable of :class:`~repro.core.knowledge.Knowledge`.
     """
     groups: dict[str, AggregateState] = {}
     for knowledge in objects:
@@ -582,3 +586,27 @@ def fold_scan(query: ScanQuery, objects: Iterable) -> ScanResult:
             state.add(getattr(summary, query.metric))
     partials = {key: state.to_payload() for key, state in groups.items()}
     return finalize_partials(query, partials, source="fold")
+
+
+def scan_results_match(
+    left: ScanResult, right: ScanResult, *, rel_tol: float = 1e-9
+) -> bool:
+    """Whether two scan results agree group-by-group, value-by-value.
+
+    Counts, minima, maxima and sketch percentiles must be exactly equal
+    (both sides use the same order-independent sketch); means and
+    stddevs get ``rel_tol`` slack for cross-shard summation order.
+    """
+    if len(left.rows) != len(right.rows):
+        return False
+    for a, b in zip(left.rows, right.rows):
+        if a.group != b.group or set(a.values) != set(b.values):
+            return False
+        for key, va in a.values.items():
+            vb = b.values[key]
+            if key in ("mean", "stddev"):
+                if not math.isclose(va, vb, rel_tol=rel_tol, abs_tol=1e-12):
+                    return False
+            elif va != vb:
+                return False
+    return True

@@ -14,7 +14,7 @@ from repro.core.knowledge import (
 )
 from repro.core.persistence.database import KnowledgeDatabase
 from repro.core.persistence.repository import KnowledgeRepository
-from repro.core.persistence.scan import ScanQuery
+from repro.core.persistence.scan import ScanQuery, fold_scan, scan_results_match
 
 
 def make_knowledge(i, *, results_per_summary=2):
@@ -168,8 +168,6 @@ class TestBatchedSaveMany:
         """Fleet-scale ingest: 100k objects through save_many in chunks
         against a file-backed store, with ``scan()`` agreeing with the
         reference Python fold to the float."""
-        from repro.bench.scan_bench import fold_scan, scan_results_match
-
         n, chunk = 100_000, 10_000
         with KnowledgeDatabase(tmp_path / "bulk.db") as db:
             repo = KnowledgeRepository(db)

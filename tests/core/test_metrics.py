@@ -494,6 +494,23 @@ class TestCliMetrics:
         )
         assert retries > 0
 
+    def test_writes_without_retries_are_counted_by_the_resilient_backend(self, tmp_path):
+        # There is one write path: without --retries the database is
+        # still wrapped, with a one-attempt retry policy.
+        from repro.core.cycle import main
+
+        path = tmp_path / "metrics.json"
+        assert main(["--workspace", str(tmp_path / "ws"),
+                     "--metrics-json", str(path)]) == 0
+        snap = json.loads(path.read_text())
+        stmts = {
+            (row["labels"]["kind"], row["labels"]["outcome"]): row["value"]
+            for row in snap["counters"]["persistence.statements_total"]["series"]
+        }
+        assert stmts[("write", "ok")] > 0
+        assert stmts[("commit", "ok")] > 0
+        assert "resilience.retries_total" not in snap["counters"]
+
     def test_inject_fault_validation(self):
         from repro.core.cycle import main
 

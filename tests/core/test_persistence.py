@@ -29,17 +29,15 @@ from tests.core.test_transfer_codec import filesystems, floats, ints, results, s
 
 # Knowledge objects in the shapes the tables can hold: filesystem and
 # system each absent or present (a system dict has the systems table's
-# keys), zero or more summaries, each with zero or more results in
-# iteration order (the order the results table hands them back in).
+# keys), zero or more summaries, each with zero or more results in any
+# iteration order, repeats included (they load back in save order).
 stored_summaries = st.builds(
     KnowledgeSummary,
     operation=text, api=text,
     bw_max=floats, bw_min=floats, bw_mean=floats, bw_stddev=floats,
     ops_max=floats, ops_min=floats, ops_mean=floats, ops_stddev=floats,
     iterations=ints,
-    results=st.lists(results, max_size=5, unique_by=lambda r: r.iteration).map(
-        lambda rs: sorted(rs, key=lambda r: r.iteration)
-    ),
+    results=st.lists(results, max_size=5),
 )
 stored_systems = st.none() | st.fixed_dictionaries({
     "hostname": text, "system_name": text, "processor_model": text,
@@ -298,6 +296,16 @@ class TestIO500Repository:
         assert loaded.value("ior-easy-write") == pytest.approx(2.9)
         assert loaded.testcase("ior-easy-write").options == {"blockSize": "64m"}
         assert loaded.system["processor_cores"] == 20
+
+    def test_fetch_many_builds_one_object_per_position(self, db):
+        repo = IO500Repository(db)
+        iofh = repo.save(self.make_io500())
+        first, second = repo.fetch_many([iofh, iofh])
+        assert first == second
+        first.testcases[0].options["blockSize"] = "mutated"
+        first.testcases.pop()
+        first.system["hostname"] = "elsewhere"
+        assert second == repo.load(iofh)
 
     def test_delete_cascades(self, db):
         repo = IO500Repository(db)

@@ -10,7 +10,7 @@ from repro.core.cycle import (
     default_phase_registry,
 )
 from repro.core.knowledge import Knowledge
-from repro.core.persistence import BatchedBackend, KnowledgeDatabase, KnowledgeRepository
+from repro.core.persistence import KnowledgeDatabase, KnowledgeRepository
 from repro.core.persistence.backend import PersistenceBackend
 from repro.core.pipeline import (
     LoggingObserver,
@@ -171,9 +171,9 @@ class TestPipelineExecution:
 
 class TestCycleThroughPipeline:
     def test_custom_sixth_phase_batched_backend_and_timings(self, tmp_path):
-        # The ISSUE acceptance test: add a validation phase between
-        # extraction and persistence, swap in the batched backend, and
-        # time every phase — all without touching cycle.py.
+        # Add a validation phase between extraction and persistence,
+        # hand the cycle any PersistenceBackend, and time every phase —
+        # all without touching cycle.py.
         validated = []
 
         class ValidationPhase:
@@ -188,7 +188,7 @@ class TestCycleThroughPipeline:
         phases = default_phase_registry()
         phases.register(ValidationPhase(), after="extraction")
         timer = TimingObserver()
-        backend = BatchedBackend(KnowledgeDatabase(":memory:"))
+        backend = KnowledgeDatabase(":memory:")
         assert isinstance(backend, PersistenceBackend)
         try:
             cycle = KnowledgeCycle(
@@ -268,39 +268,6 @@ class TestAtomicPersistence:
                 repo.save_many([Knowledge(benchmark="ior"), bad])
             assert db.table_count("performances") == 0
             assert repo.save_many([Knowledge(benchmark="ior")] * 3) == [1, 2, 3]
-
-
-class TestBatchedBackend:
-    def test_commits_deferred_until_flush(self, tmp_path):
-        path = tmp_path / "batched.db"
-        backend = BatchedBackend(KnowledgeDatabase(path))
-        repo = KnowledgeRepository(backend)
-        repo.save(Knowledge(benchmark="ior"))
-        repo.save(Knowledge(benchmark="ior"))
-        assert backend.pending_commits == 2
-        # Nothing is durable yet: rolling back erases the whole batch.
-        backend.rollback()
-        assert backend.table_count("performances") == 0
-        repo.save(Knowledge(benchmark="ior"))
-        backend.flush()
-        assert backend.pending_commits == 0
-        backend.close()
-        with KnowledgeDatabase(path) as other:
-            assert other.table_count("performances") == 1
-
-    def test_rollback_abandons_batch(self):
-        backend = BatchedBackend(KnowledgeDatabase(":memory:"))
-        KnowledgeRepository(backend).save(Knowledge(benchmark="ior"))
-        backend.rollback()
-        assert backend.table_count("performances") == 0
-        backend.close()
-
-    def test_context_manager_flushes(self, tmp_path):
-        path = tmp_path / "cm.db"
-        with BatchedBackend(KnowledgeDatabase(path)) as backend:
-            KnowledgeRepository(backend).save(Knowledge(benchmark="ior"))
-        with KnowledgeDatabase(path) as db:
-            assert db.table_count("performances") == 1
 
 
 class TestDatabaseTransaction:

@@ -14,7 +14,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.bench.scan_bench import scan_results_match
 from repro.core.cycle import KnowledgeCycle
 from repro.core.knowledge import (
     FilesystemInfo,
@@ -24,7 +23,7 @@ from repro.core.knowledge import (
 )
 from repro.core.persistence import KnowledgeDatabase, KnowledgeRepository
 from repro.core.persistence.backend import ResilientBackend, transient_db_error
-from repro.core.persistence.scan import ScanQuery, fold_scan
+from repro.core.persistence.scan import ScanQuery, fold_scan, scan_results_match
 from repro.core.persistence.transfer import knowledge_to_dict
 from repro.core.pipeline import (
     FailurePolicy,

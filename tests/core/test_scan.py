@@ -11,6 +11,7 @@ order) — whatever the backing transport.
 import json
 import math
 import sqlite3
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from repro.core.persistence.scan import (
     escape_like,
     fold_scan,
     merge_partial_payloads,
+    scan_results_match,
 )
 from repro.core.service.client import ServiceClient
 from repro.core.service.service import KnowledgeService
@@ -59,20 +61,10 @@ def make_knowledge(marker=0, benchmark="ior", api="POSIX", num_nodes=2,
     )
 
 
-def assert_results_equal(scan_result, fold_result, rel_tol=1e-9):
+def assert_results_equal(scan_result, fold_result):
     """Group-by-group, value-by-value equality (mean/stddev tolerant)."""
-    assert [r.group for r in scan_result.rows] == [
-        r.group for r in fold_result.rows
-    ]
-    for a, b in zip(scan_result.rows, fold_result.rows):
-        assert set(a.values) == set(b.values)
-        for key, va in a.values.items():
-            vb = b.values[key]
-            if key in ("mean", "stddev"):
-                assert math.isclose(va, vb, rel_tol=rel_tol, abs_tol=1e-12), (
-                    a.group, key, va, vb)
-            else:
-                assert va == vb, (a.group, key, va, vb)
+    assert scan_results_match(scan_result, fold_result), (
+        scan_result.rows, fold_result.rows)
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +254,33 @@ class TestEmbeddedScan:
         )
         assert result.source == "base-tables"
         assert result.single()["count"] > 0
+
+    def test_scan_is_ten_times_faster_than_the_row_loop_fold(self, tmp_path):
+        # 10k objects (two summaries of two results each) spread over
+        # three benchmarks, two APIs and four node counts.  The row loop
+        # is the seed-era pattern: one load() per id, folded in Python.
+        query = ScanQuery(metric="bw_mean", group_by=("benchmark", "operation"),
+                          percentiles=(50.0, 95.0))
+        with KnowledgeDatabase(tmp_path / "speed.db") as db:
+            repo = KnowledgeRepository(db)
+            for start in range(0, 10_000, 250):
+                repo.save_many([
+                    make_knowledge(i, benchmark=("ior", "mdtest", "hacc")[i % 3],
+                                   api=("POSIX", "MPIIO")[i % 2],
+                                   num_nodes=1 << (i % 4), num_tasks=8 * (1 + i % 3),
+                                   operations=("write", "read"),
+                                   bw=480.0 + (i * 7919) % 600 / 10.0)
+                    for i in range(start, start + 250)
+                ])
+            started = time.perf_counter()
+            folded = fold_scan(query, [repo.load(i) for i in repo.list_ids()])
+            row_loop_s = time.perf_counter() - started
+            started = time.perf_counter()
+            result = repo.scan(query)
+            scan_s = time.perf_counter() - started
+        assert result.source == "base-tables"
+        assert_results_equal(result, folded)
+        assert row_loop_s >= 10.0 * scan_s, (row_loop_s, scan_s)
 
     def test_empty_store_scans_to_no_rows(self, tmp_path):
         with KnowledgeDatabase(tmp_path / "empty.db") as db:

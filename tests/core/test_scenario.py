@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign.launcher import Launcher
@@ -44,6 +44,28 @@ io = "api=<MPIIO|POSIX:2> blocksize={4m..64m:pow2} transfersize={1m..4m:pow2} sh
 nodes = "2"
 taskspernode = "4"
 iterations = "2"
+"""
+
+# The examples/scenarios.toml family mix without its metadata family:
+# 2000 derivations of seed 42 expand byte-identically, and the first 48
+# carry the period-detection recovery check below.
+FAMILIES_GRAMMAR = """
+[grammar]
+name = "bench-families"
+start = "workload"
+
+[rules]
+workload = "bursty @3 | interleaved @2 | fpp_stream"
+bursty = "pattern=bursty period_s={3.0..10.0} duty={0.15..0.45} geometry api=<MPIIO|HDF5> sharing=shared collective=<true:2|false>"
+interleaved = "pattern=interleaved period_s={2.0..6.0} geometry api=MPIIO sharing=<shared|fpp>"
+fpp_stream = "pattern=steady geometry api=<POSIX:2|MPIIO> sharing=fpp fsync=<true|false:3>"
+geometry = "blocksize={4m..64m:pow2} transfersize={1m..4m:pow2} segments={2..8}"
+
+[defaults]
+nodes = "2"
+taskspernode = "4"
+iterations = "3"
+testfile = "/scratch/scenario/test"
 """
 
 
@@ -116,11 +138,13 @@ class TestGrammarParsing:
 class TestDeterministicExpansion:
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
+    @example(seed=42, count=2000)
     def test_same_seed_byte_identical(self, seed, count):
-        grammar = parse_grammar_toml(GRAMMAR)
-        first = [d.to_json() for d in expand(grammar, seed, count)]
-        second = [d.to_json() for d in expand(grammar, seed, count)]
-        assert first == second
+        for text in (GRAMMAR, FAMILIES_GRAMMAR):
+            grammar = parse_grammar_toml(text)
+            first = [d.to_json() for d in expand(grammar, seed, count)]
+            second = [d.to_json() for d in expand(grammar, seed, count)]
+            assert first == second
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
@@ -219,16 +243,21 @@ class TestPeriodDetection:
         assert best.confidence > 0.6
 
     def test_recovery_across_grammar_families(self, grammar):
-        for d in expand(grammar, 21, 8):
-            values, planted = synthesize_throughput(d, windows=256, interval_s=0.25)
-            detections = detect_periods(values, 0.25)
-            if planted is not None:
-                assert detections, f"missed planted period in {d.params}"
-                assert detections[0].period_s == pytest.approx(planted, rel=0.12)
-                assert detections[0].confidence > 0.5
-            else:
-                top = max((x.confidence for x in detections), default=0.0)
-                assert top < 0.5, f"steady trace scored {top}"
+        inputs = [(grammar, 21, 8), (parse_grammar_toml(FAMILIES_GRAMMAR), 42, 48)]
+        for family_grammar, seed, count in inputs:
+            planted_total = 0
+            for d in expand(family_grammar, seed, count):
+                values, planted = synthesize_throughput(d, windows=256, interval_s=0.25)
+                detections = detect_periods(values, 0.25)
+                if planted is not None:
+                    planted_total += 1
+                    assert detections, f"missed planted period in {d.params}"
+                    assert detections[0].period_s == pytest.approx(planted, rel=0.12)
+                    assert detections[0].confidence > 0.5
+                else:
+                    top = max((x.confidence for x in detections), default=0.0)
+                    assert top < 0.5, f"steady trace scored {top}"
+            assert planted_total > 0, family_grammar.name
 
     def test_aperiodic_noise_scores_low(self):
         rng = np.random.default_rng(3)
