@@ -30,6 +30,7 @@ store's launcher scoreboard.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -186,10 +187,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             elif args.fleet is not None:
                 campaign_id = args.run if args.run is not None else args.resume
                 if args.resume is not None:
-                    # Forced recovery must happen before any launcher is
-                    # live (it reclaims *all* RUNNING jobs); the fleet's
-                    # own launchers then resolve and re-run them.
-                    store.reclaim(campaign_id, 0.0, force=True)
+                    # Claim every lease (now = inf) before any launcher is
+                    # live; the fleet's own launchers then resolve the
+                    # claimed jobs and re-run them.
+                    store.reclaim(campaign_id, "fleet-resume", math.inf)
                 fleet = LauncherFleet(
                     store,
                     campaign_id,

@@ -3,9 +3,9 @@
 :class:`LauncherFleet` is the process-level face of fleet mode.  It
 spawns ``size`` launcher worker processes (``python -m
 repro.core.campaign.fleet.worker``) against one campaign store and
-supervises them with the same mechanism the knowledge server applies
-to its shard-group workers (:class:`~repro.core.supervise.
-SupervisedSlot`, PR 7): a launcher that dies with a non-zero exit is
+supervises them with the same dead-child step the knowledge server
+applies to its shard-group workers (:meth:`~repro.core.supervise.
+SupervisedSlot.respawn_dead`): a launcher that dies with a non-zero exit is
 respawned under an exponential-backoff budget, and one that keeps
 dying inside a sliding window is tombstoned as crash-looping instead
 of burning the host.
@@ -58,7 +58,6 @@ class LauncherSlot:
         self.partition = partition
         self.process: subprocess.Popen | None = None
         self.supervision = SupervisedSlot()
-        self.done = False  # exited 0: the campaign looked drained to it
 
     @property
     def alive(self) -> bool:
@@ -205,61 +204,39 @@ class LauncherFleet:
             ).set(sum(1 for s in self.workers if s.alive))
 
     def _handle_exit(self, slot: LauncherSlot) -> None:
-        returncode = slot.process.returncode
-        if returncode == 0:
+        if slot.process.returncode == 0:
             # Clean exit: the launcher saw the campaign drained.  Not a
             # crash — retire the slot.
             slot.process = None
-            slot.done = True
             return
-        now = self._clock()
-        if slot.supervision.unhealthy_since is None:
-            slot.supervision.unhealthy_since = now
-        if now < slot.supervision.next_attempt_at:
-            return  # respawn budget: back off between attempts
-        if slot.supervision.note_respawn_attempt(
-            now,
-            window_s=self.crash_loop_window_s,
-            threshold=self.crash_loop_threshold,
-        ):
+        supervision = slot.supervision
+        heal_s = supervision.respawn_dead(
+            self._clock, lambda: self._spawn(slot), policy=self.respawn_policy,
+            window_s=self.crash_loop_window_s, threshold=self.crash_loop_threshold,
+        )
+        if supervision.crash_looped:
             # Crash loop: tombstone the slot; the remaining launchers
             # (and the steal protocol) absorb its share of the work.
             slot.process = None
-            slot.supervision.crash_looped = True
             self.crash_loops += 1
             if self.metrics is not None:
                 self.metrics.counter(
                     "fleet.crash_loops_total",
                     "launcher slots tombstoned as crash-looping",
                 ).inc()
-            return
-        slot.supervision.attempt += 1
-        try:
-            self._spawn(slot)
-        except OSError:
-            delay = self.respawn_policy.delay_s(
-                min(slot.supervision.attempt, self.respawn_policy.max_attempts - 1)
-                or 1
-            )
-            slot.supervision.next_attempt_at = self._clock() + delay
-            return
-        slot.supervision.respawned(self._clock())
-        slot.supervision.healed(self._clock())
-        self.respawns += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "fleet.respawns_total", "launcher processes respawned",
-                launcher=slot.name,
-            ).inc()
+        elif heal_s is not None:
+            self.respawns += 1
+            if self.metrics is not None:
+                self.metrics.counter(
+                    "fleet.respawns_total", "launcher processes respawned",
+                    launcher=slot.name,
+                ).inc()
 
     def tick(self) -> None:
         """One supervision pass over every launcher slot."""
         for slot in self.workers:
-            if slot.supervision.crash_looped or slot.done:
-                continue
-            if slot.process is None:
-                continue
-            if slot.process.poll() is not None:
+            # A retired or tombstoned slot has no process.
+            if slot.process is not None and slot.process.poll() is not None:
                 self._handle_exit(slot)
         self._gauge_alive()
 
@@ -311,15 +288,7 @@ class LauncherFleet:
                         )
                 if self.store.active_count(self.campaign_id) == 0:
                     break
-                if not any(
-                    slot.alive
-                    or (
-                        not slot.done
-                        and not slot.supervision.crash_looped
-                        and slot.process is not None
-                    )
-                    for slot in self.workers
-                ):
+                if all(slot.process is None for slot in self.workers):
                     raise CampaignError(
                         f"campaign {self.campaign_id}: every launcher is "
                         "retired or crash-looping with "

@@ -18,8 +18,9 @@ DONE" would naively re-run the job and duplicate its rows.  Instead
 every knowledge object a job persists is tagged with the job's unique
 idempotency token (``parameters["campaign_job"]``) and the expected
 row count (``parameters["campaign_total"]``), all in one backend
-transaction.  When a crashed launcher's RUNNING jobs are reclaimed,
-:meth:`Launcher.resolve` consults the knowledge backend:
+transaction.  When a crashed launcher's expired leases are claimed
+(stolen or reclaimed), :meth:`Launcher.resolve` consults the knowledge
+backend:
 
 * token absent → the persist never committed → requeue (zero lost);
 * token present and complete → *adopt*: mark the job DONE with the
@@ -34,6 +35,7 @@ persists a single *marker* row instead, so adoption can always tell
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -253,11 +255,11 @@ class _HeartbeatObserver(PhaseObserver):
 class Launcher:
     """Drains one campaign's READY jobs through a bounded worker pool.
 
-    ``run(resume=True)`` is the crash-recovery entry point: RUNNING
-    jobs left behind by a dead launcher are reclaimed unconditionally
-    (the operator asserts no other launcher is alive), then resolved to
-    adoption or a requeue before any new work starts.  Without
-    ``resume``, only jobs whose lease already expired are reclaimed —
+    ``run(resume=True)`` is the crash-recovery entry point: every
+    RUNNING lease left behind by a dead launcher is reclaimed (claimed
+    at ``now = inf``: the operator asserts no other launcher is alive),
+    then resolved to adoption or a requeue before any new work starts.
+    Without ``resume``, only leases that already expired are reclaimed —
     safe when another launcher might still be heartbeating.
 
     ``clock`` and ``sleep`` are injectable so tests drive lease expiry
@@ -368,9 +370,16 @@ class Launcher:
             # won the resolution race and owns the outcome now.
             return "lost"
 
-    def _reclaim_and_resolve(self, *, force: bool) -> None:
-        for job in self.store.reclaim(self.campaign_id, self.clock(), force=force):
-            self.resolve(job)
+    def _resolve_restarting(self, limit: int) -> int:
+        """Resolve up to ``limit`` RESTARTING jobs; returns how many.
+
+        Start-up and idle recovery share it: a job sits in RESTARTING
+        after a claim, or after its claimer died mid-resolution.
+        """
+        ids = self.store.job_ids_in_state(self.campaign_id, RESTARTING, limit=limit)
+        for job_id in ids:
+            self.resolve(self.store.job(job_id))
+        return len(ids)
 
     # ------------------------------------------------------------------
     # job execution
@@ -564,14 +573,9 @@ class Launcher:
                         self.resolve(stolen)
                         self._report_status("running")
                         continue
-                    # A thief killed mid-resolution leaves its stolen
-                    # job parked in RESTARTING with no lease to expire;
-                    # resolving those while idle keeps the fleet live
-                    # without waiting for a launcher restart.
-                    for job_id in self.store.job_ids_in_state(
-                        self.campaign_id, RESTARTING, limit=4
-                    ):
-                        self.resolve(self.store.job(job_id))
+                    # Resolving parked RESTARTING jobs while idle keeps
+                    # the fleet live without waiting for a restart.
+                    self._resolve_restarting(limit=4)
                     if self.store.active_count(self.campaign_id) == 0:
                         return
                     self.sleep(self.poll_s)
@@ -607,13 +611,14 @@ class Launcher:
             metrics=self.metrics,
         )
         try:
-            # Recover first: reclaim dead-launcher RUNNING jobs and any
-            # job that crashed mid-requeue (stuck RESTARTING), resolving
-            # each to adoption or a clean requeue before new work starts.
-            self._reclaim_and_resolve(force=resume)
-            for job in self.store.jobs(self.campaign_id):
-                if job.state == RESTARTING:
-                    self.resolve(job)
+            # Recover first: claim dead launchers' leases, then resolve
+            # every RESTARTING job (just claimed, or stuck mid-requeue)
+            # to adoption or a clean requeue before new work starts.
+            self.store.reclaim(
+                self.campaign_id, self.name, math.inf if resume else self.clock()
+            )
+            while self._resolve_restarting(limit=16):
+                pass
             self.store.mark_ready(self.campaign_id)
             if self.elastic is not None:
                 # Size the pool before any worker runs: otherwise a

@@ -37,10 +37,20 @@ every state transition is a compare-and-set ``UPDATE … WHERE state =
 commit conflicting transitions — the loser of a race sees zero updated
 rows and either retries the next candidate (:meth:`acquire`,
 :meth:`steal`) or learns its lease is gone
-(:class:`~repro.util.errors.LeaseLostError`).  Lease reclaim and
-stealing scan only ``(campaign_id, state, lease_expires_at)`` through a
-covering index, so finding expired work is O(expired), not a
-full-table sweep at 10k+ jobs.
+(:class:`~repro.util.errors.LeaseLostError`).
+
+An expired lease is taken over in exactly one way: a compare-and-set
+claim (``RUNNING → RESTARTING``) guarded on the lease columns it
+observed, which records the claimer as the new ``lease_owner``.  An
+idle launcher makes one claim (:meth:`steal`); start-up and
+``--resume`` recovery claim every expired lease (:meth:`reclaim`, a
+loop over the same claim; ``--resume`` claims at ``now = inf``).
+After *any* takeover the former holder's ``heartbeat``, ``complete``
+and ``fail`` raise :class:`~repro.util.errors.LeaseLostError`, and the
+claimer resolves the job by its idempotency token.  The claim walks
+the campaign's RUNNING rows of the ``(campaign_id, state,
+lease_expires_at)`` covering index in lease order, so finding expired
+work costs O(running jobs), never a full-table sweep at 10k+ jobs.
 """
 
 from __future__ import annotations
@@ -612,7 +622,7 @@ class CampaignStore:
         return job
 
     def _deps_blocked_sql(self, blocked_state: str, comparator: str) -> str:
-        """EXISTS clause over a job's dependencies (batch mark_ready)."""
+        """EXISTS clause over a job's dependencies (the ready sweep)."""
         return (
             "EXISTS (SELECT 1 FROM campaign_job_deps d "
             "JOIN campaign_jobs p ON p.id = d.depends_on "
@@ -627,88 +637,54 @@ class CampaignStore:
         failed too (``error='dependency failed'``) so the DAG always
         drains.  Sweeps until a fixpoint; returns how many jobs moved.
 
-        With no transition hook attached the sweep is *set-based*: one
-        UPDATE fails every CREATED job with a FAILED dependency, one
-        promotes every CREATED job with no non-DONE dependency — O(2)
-        statements per sweep instead of O(jobs), which is what keeps a
-        10k-job submit and the launcher's per-iteration ready sweep
-        cheap.  With a hook attached the per-row path preserves the
-        exact pre/post checkpoint semantics tests crash into.
+        Each pass is set-based: one UPDATE fails every CREATED job with
+        a FAILED dependency, one promotes every CREATED job with no
+        non-DONE dependency — two statements per pass whatever the job
+        count, which keeps a 10k-job submit and the launcher's
+        per-iteration sweep cheap.  An attached transition hook gets one
+        ``post`` call per job moved, in id order, after the pass
+        commits, so every committed state stays a crash point.  There
+        is no ``pre`` call: nothing is written between the previous
+        transition's ``post`` and the sweep.
         """
         moved = 0
         with self._lock:
             self._check_open()
             while True:
-                if self.on_transition is None:
-                    progressed = self._mark_ready_batch(campaign_id)
-                else:
-                    progressed = self._mark_ready_rows(campaign_id)
-                moved += progressed
-                if not progressed:
+                try:
+                    cascaded = self._conn.execute(
+                        "UPDATE campaign_jobs SET state = ?, error = 'dependency failed' "
+                        "WHERE campaign_id = ? AND state = ? AND "
+                        + self._deps_blocked_sql(FAILED, "=")
+                        + " RETURNING id",
+                        (FAILED, campaign_id, CREATED),
+                    ).fetchall()
+                    promoted = self._conn.execute(
+                        "UPDATE campaign_jobs SET state = ? "
+                        "WHERE campaign_id = ? AND state = ? AND NOT "
+                        + self._deps_blocked_sql(DONE, "!=")
+                        + " RETURNING id",
+                        (READY, campaign_id, CREATED),
+                    ).fetchall()
+                    self._conn.commit()
+                except sqlite3.Error as exc:
+                    self._conn.rollback()
+                    raise PersistenceError(f"cannot sweep ready jobs: {exc}") from exc
+                if not cascaded and not promoted:
                     return moved
-
-    def _mark_ready_batch(self, campaign_id: int) -> int:
-        """One set-based ready sweep; returns how many jobs moved."""
-        try:
-            cascaded = self._conn.execute(
-                "UPDATE campaign_jobs SET state = ?, error = 'dependency failed' "
-                "WHERE campaign_id = ? AND state = ? AND "
-                + self._deps_blocked_sql(FAILED, "="),
-                (FAILED, campaign_id, CREATED),
-            ).rowcount
-            promoted = self._conn.execute(
-                "UPDATE campaign_jobs SET state = ? "
-                "WHERE campaign_id = ? AND state = ? AND NOT "
-                + self._deps_blocked_sql(DONE, "!="),
-                (READY, campaign_id, CREATED),
-            ).rowcount
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            self._conn.rollback()
-            raise PersistenceError(f"cannot sweep ready jobs: {exc}") from exc
-        if self.metrics is not None:
-            if cascaded:
-                self.metrics.counter(
-                    "campaign.transitions_total", "job state transitions",
-                    **{"from": CREATED, "to": FAILED},
-                ).inc(cascaded)
-            if promoted:
-                self.metrics.counter(
-                    "campaign.transitions_total", "job state transitions",
-                    **{"from": CREATED, "to": READY},
-                ).inc(promoted)
-            if cascaded or promoted:
+                moved += len(cascaded) + len(promoted)
+                swept = [(FAILED, cascaded), (READY, promoted)]
+                for new_state, rows in swept:
+                    if rows:
+                        self._count_transition(CREATED, new_state, len(rows))
                 self._update_state_gauges(campaign_id)
-        return cascaded + promoted
-
-    def _mark_ready_rows(self, campaign_id: int) -> int:
-        """One per-row ready sweep (hook-visible transitions)."""
-        progressed = 0
-        rows = self._conn.execute(
-            "SELECT id FROM campaign_jobs WHERE campaign_id = ? AND state = ?",
-            (campaign_id, CREATED),
-        ).fetchall()
-        for row in rows:
-            job_id = int(row["id"])
-            dep_states = [
-                r["state"]
-                for r in self._conn.execute(
-                    "SELECT p.state AS state FROM campaign_job_deps d "
-                    "JOIN campaign_jobs p ON p.id = d.depends_on "
-                    "WHERE d.job_id = ?",
-                    (job_id,),
-                ).fetchall()
-            ]
-            if any(s == FAILED for s in dep_states):
-                if self._transition(
-                    job_id, FAILED, sets={"error": "dependency failed"},
-                    stale_ok=True,
-                ):
-                    progressed += 1
-            elif all(s == DONE for s in dep_states):
-                if self._transition(job_id, READY, stale_ok=True):
-                    progressed += 1
-        return progressed
+                if self.on_transition is not None:
+                    for new_state, rows in swept:
+                        for job_id in sorted(row["id"] for row in rows):
+                            self.on_transition(
+                                self._to_jobrow(self._row(job_id)),
+                                CREATED, new_state, "post",
+                            )
 
     def acquire(
         self,
@@ -761,27 +737,24 @@ class CampaignStore:
                     return claimed
             return None
 
-    def steal(self, campaign_id: int, owner: str, now: float) -> JobRow | None:
-        """Claim one expired-lease RUNNING job: RUNNING → RESTARTING.
+    def _claim_expired(
+        self, campaign_id: int, owner: str, now: float
+    ) -> JobRow | None:
+        """The one expired-lease takeover: RUNNING → RESTARTING for ``owner``.
 
-        Work stealing for launcher fleets: the longest-expired job (ties
-        broken by lowest id — deterministic, so competing stealers scan
-        candidates in the same order and the compare-and-set claim picks
-        exactly one winner) moves to RESTARTING with the thief recorded,
-        ready for the thief to :meth:`~repro.core.campaign.launcher.
-        Launcher.resolve` against the knowledge backend.  The claim is
-        guarded on the *observed* lease columns, so a heartbeat racing
-        the steal (the owner was slow, not dead) invalidates the claim
-        and the victim keeps its job.  Returns ``None`` when nothing is
-        stealable.  Scans through the ``(campaign_id, state,
-        lease_expires_at)`` covering index: O(expired), not O(jobs).
+        Candidates are RUNNING jobs whose lease expired before ``now``
+        (or was never stamped), longest-expired first, then lowest id,
+        so competing claimers scan in the same order.  The claim is
+        guarded on the *observed* lease columns: a heartbeat racing it
+        (the holder was slow, not dead) invalidates it and the holder
+        keeps its job.  A won claim makes ``owner`` the ``lease_owner``.
         """
         with self._lock:
             self._check_open()
             rows = self._conn.execute(
                 "SELECT id, lease_owner, lease_expires_at FROM campaign_jobs "
                 "WHERE campaign_id = ? AND state = ? "
-                "AND lease_expires_at IS NOT NULL AND lease_expires_at < ? "
+                "AND (lease_expires_at IS NULL OR lease_expires_at < ?) "
                 "ORDER BY lease_expires_at, id LIMIT 16",
                 (campaign_id, RUNNING, now),
             ).fetchall()
@@ -791,11 +764,7 @@ class CampaignStore:
                     int(row["id"]),
                     RESTARTING,
                     sets={
-                        "error": f"lease stolen by {owner} from {victim}",
-                        # Record the thief: the victim's owner-guarded
-                        # heartbeat/complete now fails with
-                        # LeaseLostError instead of silently resurrecting
-                        # a lease it lost.
+                        "error": f"lease expired, stolen by {owner} from {victim}",
                         "lease_owner": owner,
                     },
                     guard={
@@ -805,13 +774,22 @@ class CampaignStore:
                     stale_ok=True,
                 )
                 if claimed is not None:
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "campaign.steals_total",
-                            "expired leases stolen by competing launchers",
-                        ).inc()
                     return claimed
             return None
+
+    def steal(self, campaign_id: int, owner: str, now: float) -> JobRow | None:
+        """Work stealing: an idle launcher claims the longest-expired lease.
+
+        One :meth:`_claim_expired` claim, counted in
+        ``campaign.steals_total``; ``None`` when nothing is stealable.
+        """
+        claimed = self._claim_expired(campaign_id, owner, now)
+        if claimed is not None and self.metrics is not None:
+            self.metrics.counter(
+                "campaign.steals_total",
+                "expired leases stolen by competing launchers",
+            ).inc()
+        return claimed
 
     def heartbeat(
         self, job_id: int, now: float, lease_s: float, *, owner: str | None = None
@@ -859,11 +837,12 @@ class CampaignStore:
     ) -> JobRow:
         """RUNNING/RESTARTING → DONE, recording the persisted knowledge ids.
 
-        The RESTARTING path is *adoption*: a reclaimed job whose
+        The RESTARTING path is *adoption*: a claimed job whose
         idempotency token was found in the knowledge backend is marked
         DONE with the rows the crashed attempt already persisted.  With
         ``owner`` the completion is lease-guarded: if the job was stolen
-        mid-run the loser gets :class:`LeaseLostError` and must abandon.
+        or reclaimed mid-run the former holder gets
+        :class:`LeaseLostError` and must abandon.
         """
         job = self._transition_or_raise(
             job_id,
@@ -887,27 +866,26 @@ class CampaignStore:
 
         A retryable failure with budget left goes RUNNING → RESTARTING
         → READY (two committed checkpoints, so a crash between them
-        resumes correctly); a job already RESTARTING (stolen or
-        reclaimed, and held by ``owner``) goes straight to READY.  A
-        permanent failure or an exhausted budget goes to FAILED and
-        cascades through :meth:`mark_ready`.  The optional ``owner``
-        guard mirrors :meth:`complete`.
+        resumes correctly); a job already RESTARTING (claimed by
+        ``owner``) goes straight to READY.  A permanent failure or an
+        exhausted budget goes to FAILED and cascades through
+        :meth:`mark_ready`.  The optional ``owner`` guard mirrors
+        :meth:`complete`.
         """
         guard = {"lease_owner": owner} if owner is not None else None
         with self._lock:
             job = self._to_jobrow(self._row(job_id))
             if retryable and job.attempts < job.max_attempts:
-                if job.state == RESTARTING:
-                    return self._transition_or_raise(
-                        job_id,
-                        READY,
-                        sets={"error": error, "lease_owner": None, "lease_expires_at": None},
-                        guard=guard,
+                if job.state != RESTARTING:
+                    self._transition_or_raise(
+                        job_id, RESTARTING, sets={"error": error}, guard=guard
                     )
-                self._transition_or_raise(
-                    job_id, RESTARTING, sets={"error": error}, guard=guard
+                return self._transition_or_raise(
+                    job_id,
+                    READY,
+                    sets={"error": error, "lease_owner": None, "lease_expires_at": None},
+                    guard=guard,
                 )
-                return self.requeue(job_id)
             failed = self._transition_or_raise(
                 job_id,
                 FAILED,
@@ -949,54 +927,24 @@ class CampaignStore:
                 },
             )
 
-    def reclaim(self, campaign_id: int, now: float, *, force: bool = False) -> list[JobRow]:
-        """Move crashed-launcher RUNNING jobs to RESTARTING.
+    def reclaim(self, campaign_id: int, owner: str, now: float) -> list[JobRow]:
+        """Claim every lease expired at ``now`` for ``owner``, in claim order.
 
-        A job is reclaimed when its lease expired at ``now`` (or
-        unconditionally with ``force=True`` — the ``--resume`` path,
-        where the operator asserts the previous launcher is dead).
-        Deterministic: depends only on the committed lease columns and
-        the ``now`` value passed in.  The launcher then resolves each
-        reclaimed job to adoption (token found in the knowledge
-        backend) or a requeue.
-
-        The expired scan is pushed into SQL against the covering
-        ``(campaign_id, state, lease_expires_at)`` index — O(expired),
-        not a full RUNNING sweep — and each reclamation is a
-        compare-and-set, so two launchers reclaiming concurrently
-        partition the expired set instead of colliding.
+        The recovery sweep of launcher start-up and ``--resume``: a loop
+        over the claim :meth:`steal` makes, each counted in
+        ``campaign.reclaims_total``.  ``--resume`` passes ``now =
+        math.inf`` (the operator asserts the previous launchers are
+        dead), so every RUNNING lease is claimable.
         """
-        with self._lock:
-            self._check_open()
-            if force:
-                rows = self._conn.execute(
-                    "SELECT id FROM campaign_jobs "
-                    "WHERE campaign_id = ? AND state = ? ORDER BY id",
-                    (campaign_id, RUNNING),
-                ).fetchall()
-            else:
-                rows = self._conn.execute(
-                    "SELECT id FROM campaign_jobs "
-                    "WHERE campaign_id = ? AND state = ? "
-                    "AND (lease_expires_at IS NULL OR lease_expires_at < ?) "
-                    "ORDER BY id",
-                    (campaign_id, RUNNING, now),
-                ).fetchall()
-            reclaimed = []
-            for row in rows:
-                job = self._transition(
-                    int(row["id"]), RESTARTING, sets={"error": "lease expired"},
-                    stale_ok=True,
-                )
-                if job is None:
-                    continue  # a competing launcher reclaimed it first
-                reclaimed.append(job)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "campaign.reclaims_total",
-                        "RUNNING jobs reclaimed from dead launchers",
-                    ).inc()
-            return reclaimed
+        reclaimed = []
+        while (job := self._claim_expired(campaign_id, owner, now)) is not None:
+            reclaimed.append(job)
+            if self.metrics is not None:
+                self.metrics.counter(
+                    "campaign.reclaims_total",
+                    "RUNNING jobs reclaimed from dead launchers",
+                ).inc()
+        return reclaimed
 
     def cancel(self, campaign_id: int) -> int:
         """Fail every non-terminal, non-RUNNING job (``error='cancelled'``).
@@ -1085,12 +1033,12 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def _count_transition(self, old: str, new: str) -> None:
+    def _count_transition(self, old: str, new: str, n: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.counter(
                 "campaign.transitions_total", "job state transitions",
                 **{"from": old, "to": new},
-            ).inc()
+            ).inc(n)
 
     def _update_state_gauges(self, campaign_id: int) -> None:
         if self.metrics is not None:

@@ -47,6 +47,7 @@ from repro.core.service.ops import LocalTransport, decode_result, encode_args
 from repro.core.service.service import KnowledgeService
 from repro.core.service.shard import KnowledgeShardMap
 from repro.core.service.transport import TcpTransport
+from repro.core.service.wire import with_wire_code
 from repro.util.errors import (
     DeadlineError,
     PersistenceError,
@@ -215,11 +216,6 @@ def _default_retryable(exc: BaseException) -> bool:
     )
 
 
-def _typed(exc: Exception, code: str) -> Exception:
-    exc.wire_code = code  # type: ignore[attr-defined]
-    return exc
-
-
 def _server_retry_after(exc: BaseException) -> float | None:
     """Honor a server-supplied ``retry_after`` hint over our own schedule.
 
@@ -360,7 +356,7 @@ class ServiceClient:
             # mangled bytes still decode) is a protocol fault, not a
             # caller bug — surface it as the typed wire error.  The
             # knowledge codec reports a mangled object as PersistenceError.
-            raise _typed(
+            raise with_wire_code(
                 WireProtocolError(
                     f"malformed {op!r} result payload from the service: {exc!r}"
                 ),

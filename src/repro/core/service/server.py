@@ -74,6 +74,7 @@ from repro.core.service.wire import (
     read_body,
     read_frame,
     split_fragments,
+    with_wire_code,
     write_frame,
 )
 from repro.util.errors import (
@@ -93,12 +94,6 @@ __all__ = [
     "WorkerSupervisor",
     "KnowledgeServer",
 ]
-
-
-def _typed(exc: Exception, code: str) -> Exception:
-    """Stamp an explicit wire code onto one exception instance."""
-    exc.wire_code = code  # type: ignore[attr-defined]
-    return exc
 
 
 class _Pending(NamedTuple):
@@ -168,7 +163,7 @@ class WorkerHandle:
                 retryable=True,
             )
             exc.retry_after_s = self.breaker.retry_after_s
-            raise _typed(exc, "quarantine")
+            raise with_wire_code(exc, "quarantine")
         channel = self._checkout_channel(effective)
         pending = _Pending(channel, next(self._seq), op)
         try:
@@ -248,7 +243,7 @@ class WorkerHandle:
         while True:
             if self.process.poll() is not None:
                 self.breaker.record_failure()
-                raise _typed(
+                raise with_wire_code(
                     ServiceTransportError(
                         f"shard-group worker {self.index} (shards "
                         f"{list(self.owned_shards)}) exited with code "
@@ -261,7 +256,7 @@ class WorkerHandle:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.breaker.record_failure()
-                raise _typed(
+                raise with_wire_code(
                     ServiceTransportError(
                         f"no free channel to shard-group worker {self.index} "
                         f"within {timeout_s:g}s",
@@ -380,7 +375,7 @@ class CrashLoopedHandle:
             retryable=True,
         )
         exc.retry_after_s = self.retry_after_s
-        raise _typed(exc, "crash_loop")
+        raise with_wire_code(exc, "crash_loop")
 
     #: The router's scatter path fails just as fast.
     send = call
@@ -460,7 +455,7 @@ class ShardRouter:
         try:
             return self._route(op, payload)
         except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
-            raise _typed(
+            raise with_wire_code(
                 WireProtocolError(f"malformed arguments for operation {op!r}: {exc}"),
                 "bad-request",
             ) from exc
@@ -471,7 +466,7 @@ class ShardRouter:
         if op == "stats":
             return {"stats": self._merged_stats()}
         if op not in SERVICE_OPS:
-            raise _typed(
+            raise with_wire_code(
                 ServiceError(
                     f"unknown service operation {op!r}; known: {sorted(SERVICE_OPS)}"
                 ),
@@ -598,10 +593,9 @@ class ShardRouter:
         }
 
 
-# Per-shard-group supervision state: the slot bookkeeping is shared
-# with the campaign launcher fleet (repro.core.supervise), so respawn
-# backoff and crash-loop semantics stay identical across supervisors.
-_SupervisedSlot = SupervisedSlot
+#: Consecutive failed heal probes against a live worker that mark it
+#: wedged rather than slow.
+_WEDGED_PROBE_LIMIT = 3
 
 
 class WorkerSupervisor:
@@ -617,17 +611,19 @@ class WorkerSupervisor:
       budgeted by a :class:`RetryPolicy`'s exponential backoff.
     * **quarantined but alive** (breaker open past its window) — send
       one ``ping`` through the breaker's half-open probe slot; success
-      closes the breaker with no respawn.  ``wedged_probe_limit``
-      consecutive failed probes against a *live* process mean the
-      worker is wedged, not slow: it is killed so the respawn path can
-      take over.
+      closes the breaker with no respawn.  Three consecutive failed
+      probes against a *live* process mean the worker is wedged, not
+      slow: it is killed so the respawn path can take over.
     * **crash loop** — more than ``crash_loop_threshold`` respawn
       attempts inside ``crash_loop_window_s`` demotes the group to a
       :class:`CrashLoopedHandle`: permanent quarantine, typed
-      ``crash_loop`` errors with a ``retry_after`` hint, no more
-      respawn attempts burning CPU on a group that cannot stay up.
+      ``crash_loop`` errors with a ``retry_after`` hint of one window,
+      no more respawn attempts burning CPU on a group that cannot stay
+      up.
 
-    Heals are measured: ``service.supervisor.respawns_total`` /
+    The dead-process step is :meth:`~repro.core.supervise.SupervisedSlot.
+    respawn_dead`, shared with the campaign launcher fleet.  Heals are
+    measured: ``service.supervisor.respawns_total`` /
     ``crash_loops_total`` counters and a ``heal_seconds`` histogram
     (detection to healthy) land in the ordinary metrics report.
     """
@@ -637,18 +633,14 @@ class WorkerSupervisor:
         server: "KnowledgeServer",
         *,
         poll_interval_s: float = 0.1,
-        startup_deadline_s: float = 15.0,
         respawn_policy: RetryPolicy | None = None,
         crash_loop_threshold: int = 5,
         crash_loop_window_s: float = 30.0,
-        crash_loop_retry_after_s: float | None = None,
-        wedged_probe_limit: int = 3,
         clock: Callable[[], float] = time.monotonic,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.server = server
         self.poll_interval_s = poll_interval_s
-        self.startup_deadline_s = startup_deadline_s
         self.respawn_policy = respawn_policy or RetryPolicy(
             max_attempts=crash_loop_threshold + 1,
             base_delay_s=0.05, multiplier=2.0, max_delay_s=2.0,
@@ -656,15 +648,9 @@ class WorkerSupervisor:
         )
         self.crash_loop_threshold = crash_loop_threshold
         self.crash_loop_window_s = crash_loop_window_s
-        self.crash_loop_retry_after_s = (
-            crash_loop_retry_after_s
-            if crash_loop_retry_after_s is not None
-            else crash_loop_window_s
-        )
-        self.wedged_probe_limit = wedged_probe_limit
         self.metrics = metrics
         self._clock = clock
-        self._slots = [_SupervisedSlot() for _ in server.workers]
+        self._slots = [SupervisedSlot() for _ in server.workers]
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -711,14 +697,14 @@ class WorkerSupervisor:
                 self._handle_alive(index, slot, worker)
 
     def _handle_alive(
-        self, index: int, slot: _SupervisedSlot, worker: WorkerHandle
+        self, index: int, slot: SupervisedSlot, worker: WorkerHandle
     ) -> None:
         state = worker.breaker.state
         if state == CircuitBreaker.CLOSED:
             if slot.unhealthy_since is not None:
                 # Regular traffic healed the breaker through its own
                 # half-open probe — record the heal, keep the worker.
-                self._healed(index, slot, respawned=False)
+                self._observe_heal(slot.healed(self._clock()), mode="probe")
             slot.probe_failures = 0
             return
         if slot.unhealthy_since is None:
@@ -731,76 +717,55 @@ class WorkerSupervisor:
             if getattr(exc, "wire_code", "") == "quarantine":
                 return  # a client claimed this window's probe; defer to it
             slot.probe_failures += 1
-            if slot.probe_failures >= self.wedged_probe_limit and worker.alive:
+            if slot.probe_failures >= _WEDGED_PROBE_LIMIT and worker.alive:
                 # Alive but unresponsive: the process is wedged.  Kill it
                 # so the next tick takes the respawn path.
                 worker.reap()
         else:
             slot.probe_failures = 0
-            self._healed(index, slot, respawned=False)
+            self._observe_heal(slot.healed(self._clock()), mode="probe")
 
     def _handle_dead(
-        self, index: int, slot: _SupervisedSlot, worker: WorkerHandle
+        self, index: int, slot: SupervisedSlot, worker: WorkerHandle
     ) -> None:
-        now = self._clock()
-        if slot.unhealthy_since is None:
-            slot.unhealthy_since = now
-        if now < slot.next_attempt_at:
-            return  # respawn budget: back off between attempts
-        if slot.note_respawn_attempt(
-            now,
-            window_s=self.crash_loop_window_s,
-            threshold=self.crash_loop_threshold,
-        ):
-            self._declare_crash_loop(index, slot, worker)
-            return
-        worker.reap()
-        slot.attempt += 1
-        try:
-            successor = self.server._respawn_worker(index)
-        except Exception:  # noqa: BLE001 - spawn/handshake failed; back off
-            delay = self.respawn_policy.delay_s(
-                min(slot.attempt, self.respawn_policy.max_attempts - 1) or 1
-            )
-            slot.next_attempt_at = self._clock() + delay
-            return
-        self.server._replace_worker(index, successor)
-        slot.respawned(self._clock())
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service.supervisor.respawns_total",
-                "shard-group worker processes respawned",
-                worker=str(index),
-            ).inc()
-        self._healed(index, slot, respawned=True)
+        def respawn() -> None:
+            worker.reap()
+            self.server._replace_worker(index, self.server._respawn_worker(index))
 
-    def _declare_crash_loop(
-        self, index: int, slot: _SupervisedSlot, worker: WorkerHandle
-    ) -> None:
-        worker.reap()
-        slot.crash_looped = True
-        self.server._replace_worker(
-            index,
-            CrashLoopedHandle(
-                index, worker.owned_shards,
-                retry_after_s=self.crash_loop_retry_after_s,
-            ),
+        heal_s = slot.respawn_dead(
+            self._clock, respawn, policy=self.respawn_policy,
+            window_s=self.crash_loop_window_s, threshold=self.crash_loop_threshold,
         )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "service.supervisor.crash_loops_total",
-                "shard groups demoted to permanent quarantine",
-                worker=str(index),
-            ).inc()
+        if slot.crash_looped:
+            worker.reap()
+            self.server._replace_worker(
+                index,
+                CrashLoopedHandle(
+                    index, worker.owned_shards, retry_after_s=self.crash_loop_window_s
+                ),
+            )
+            if self.metrics is not None:
+                self.metrics.counter(
+                    "service.supervisor.crash_loops_total",
+                    "shard groups demoted to permanent quarantine",
+                    worker=str(index),
+                ).inc()
+        elif heal_s is not None:
+            if self.metrics is not None:
+                self.metrics.counter(
+                    "service.supervisor.respawns_total",
+                    "shard-group worker processes respawned",
+                    worker=str(index),
+                ).inc()
+            self._observe_heal(heal_s, mode="respawn")
 
-    def _healed(self, index: int, slot: _SupervisedSlot, *, respawned: bool) -> None:
-        duration = slot.healed(self._clock())
+    def _observe_heal(self, duration: float | None, *, mode: str) -> None:
         if duration is not None and self.metrics is not None:
             self.metrics.histogram(
                 "service.supervisor.heal_seconds",
                 "time from detecting an unhealthy shard group to healthy",
                 wallclock=True,
-                mode="respawn" if respawned else "probe",
+                mode=mode,
             ).observe(duration)
 
     # -- introspection (the health op) ---------------------------------
@@ -903,7 +868,6 @@ class KnowledgeServer:
             self.supervisor = WorkerSupervisor(
                 self,
                 poll_interval_s=supervisor_poll_s,
-                startup_deadline_s=startup_deadline_s,
                 respawn_policy=respawn_policy,
                 crash_loop_threshold=crash_loop_threshold,
                 crash_loop_window_s=crash_loop_window_s,
@@ -1058,12 +1022,12 @@ class KnowledgeServer:
                     # Answer in *our* version — the one thing both ends
                     # can parse — then hang up.
                     self._send(conn, {"id": None, "ok": False,
-                                      "error": error_body(_typed(exc, "version-mismatch"))})
+                                      "error": error_body(with_wire_code(exc, "version-mismatch"))})
                     return
                 except WireProtocolError as exc:
                     code = "frame-too-large" if "cap" in str(exc) else "bad-frame"
                     self._send(conn, {"id": None, "ok": False,
-                                      "error": error_body(_typed(exc, code))})
+                                      "error": error_body(with_wire_code(exc, code))})
                     return
                 except (OSError, ValueError):
                     return
@@ -1093,7 +1057,7 @@ class KnowledgeServer:
                 # when an operator wants to see worker state.
                 result = {"health": self.health()}
             elif self._draining:
-                raise _typed(
+                raise with_wire_code(
                     ServiceTransportError(
                         "server is draining; finish against another endpoint "
                         "or retry once a replacement is up",
@@ -1115,7 +1079,7 @@ class KnowledgeServer:
     def _hello(self, payload: dict[str, object]) -> dict[str, object]:
         offered = payload.get("protocols")
         if offered is not None and PROTOCOL not in offered:  # type: ignore[operator]
-            raise _typed(
+            raise with_wire_code(
                 WireProtocolError(
                     f"no common protocol: client offers {offered!r}, "
                     f"server speaks {PROTOCOL}"

@@ -45,6 +45,7 @@ from repro.core.service.wire import (
     WireProtocolError,
     raise_wire_error,
     read_frame,
+    with_wire_code,
     write_frame,
 )
 from repro.util.errors import ConfigurationError, ServiceError, ServiceTransportError
@@ -53,11 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.metrics import MetricsRegistry
 
 __all__ = ["TcpTransport"]
-
-
-def _typed(exc: Exception, code: str) -> Exception:
-    exc.wire_code = code  # type: ignore[attr-defined]
-    return exc
 
 
 class TcpTransport:
@@ -141,7 +137,7 @@ class TcpTransport:
         info = info if isinstance(info, dict) else {}
         if info.get("protocol") != PROTOCOL:
             sock.close()
-            raise _typed(
+            raise with_wire_code(
                 WireProtocolError(
                     f"server {self.host}:{self.port} negotiated protocol "
                     f"{info.get('protocol')!r}; this client speaks {PROTOCOL}"
@@ -206,7 +202,7 @@ class TcpTransport:
             # Same contract as a server-sent quarantine frame: tell the
             # retry loop exactly how long the breaker window has left.
             exc.retry_after_s = self.breaker.retry_after_s
-            raise _typed(exc, "quarantine")
+            raise with_wire_code(exc, "quarantine")
         effective = timeout_s if timeout_s is not None else self.timeout_s
         start = time.perf_counter()
         sock = self._checkout(effective)  # transport errors here are pre-send
@@ -258,7 +254,7 @@ class TcpTransport:
         if response.get("id") != request_id:
             self.breaker.record_failure()
             self._checkin(sock, reusable=False)
-            raise _typed(
+            raise with_wire_code(
                 WireProtocolError(
                     f"server answered request {response.get('id')!r} "
                     f"while {request_id!r} was in flight"

@@ -73,6 +73,7 @@ __all__ = [
     "join_fragments",
     "error_body",
     "error_code",
+    "with_wire_code",
     "raise_wire_error",
 ]
 
@@ -153,6 +154,12 @@ def error_code(exc: BaseException) -> str:
     return "internal"
 
 
+def with_wire_code(exc: Exception, code: str) -> Exception:
+    """Stamp an explicit wire code onto one exception instance."""
+    exc.wire_code = code  # type: ignore[attr-defined]
+    return exc
+
+
 def error_body(exc: BaseException) -> dict[str, object]:
     """The typed-error payload of a response frame.
 
@@ -189,7 +196,7 @@ def raise_wire_error(error: dict[str, object]) -> None:
     else:
         exc = cls(message)
         exc.transient = retryable  # type: ignore[attr-defined]
-    exc.wire_code = code  # type: ignore[attr-defined]
+    with_wire_code(exc, code)
     hint = error.get("retry_after")
     if isinstance(hint, (int, float)) and hint > 0:
         exc.retry_after_s = float(hint)  # type: ignore[attr-defined]

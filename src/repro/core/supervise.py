@@ -1,29 +1,28 @@
-"""Process-supervision primitives shared by every supervisor.
+"""Process supervision shared by every supervisor.
 
 The knowledge server's :class:`~repro.core.service.server.
-WorkerSupervisor` (PR 7) and the campaign fleet's
+WorkerSupervisor` and the campaign fleet's
 :class:`~repro.core.campaign.fleet.coordinator.LauncherFleet` both
-supervise a row of child processes with the same state machine: a dead
-child is respawned under an exponential-backoff budget, and a child
-that keeps dying inside a sliding window is demoted to a permanent
-tombstone instead of burning CPU on a group that cannot stay up.
-
-This module holds the per-slot bookkeeping both supervisors share, so
-the crash-loop semantics stay identical across subsystems:
-
-* :class:`SupervisedSlot` — one child's supervision state (respawn
-  backoff schedule, sliding crash-loop window, heal timestamps).
-* :meth:`SupervisedSlot.note_respawn_attempt` — records one respawn
-  attempt against the window and answers whether the slot just crossed
-  the crash-loop threshold.
-
-The policy knobs (threshold, window, backoff) stay with each
-supervisor; only the mechanism lives here.
+supervise a row of child processes, and both call the one dead-child
+step, :meth:`SupervisedSlot.respawn_dead`: a dead child is respawned
+under an exponential-backoff budget, and one that keeps dying inside a
+sliding window is left to its supervisor's tombstone instead of
+burning CPU on a group that cannot stay up.  Each supervisor keeps
+only what differs: how it spawns, its metric names, its tombstone (a
+``CrashLoopedHandle`` in the server's router, an empty fleet slot),
+and the fleet's retiring of a launcher that exited cleanly.  The
+policy knobs (threshold, window, backoff) stay with each supervisor.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING, Callable
+
+from repro.util.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.resilience import RetryPolicy
 
 __all__ = ["SupervisedSlot"]
 
@@ -46,27 +45,48 @@ class SupervisedSlot:
         self.crash_looped = False
         self.probe_failures = 0  # consecutive failed heal probes
 
-    def note_respawn_attempt(
-        self, now: float, *, window_s: float, threshold: int
-    ) -> bool:
-        """Record one respawn attempt; True when it crosses the crash loop.
+    def respawn_dead(
+        self,
+        clock: Callable[[], float],
+        spawn: Callable[[], object],
+        *,
+        policy: "RetryPolicy",
+        window_s: float,
+        threshold: int,
+    ) -> float | None:
+        """One supervision step for a dead child.
 
-        Appends ``now`` to the sliding window, expires entries older
-        than ``window_s``, and reports whether more than ``threshold``
-        attempts remain inside the window — the supervisor's cue to
-        demote the slot to a tombstone.
+        Returns the seconds the slot was unhealthy when ``spawn``
+        succeeded, else ``None``: still inside the backoff gate, a
+        failed spawn (``OSError`` from the fork, or a ``ReproError`` such
+        as a failed startup handshake; the next attempt is due after the
+        ``policy``'s delay for this attempt), or a crash loop — more
+        than ``threshold`` attempts inside ``window_s`` — which sets
+        :attr:`crash_looped` and leaves the tombstone to the caller.
         """
+        now = clock()
+        if self.unhealthy_since is None:
+            self.unhealthy_since = now
+        if now < self.next_attempt_at:
+            return None  # respawn budget: back off between attempts
         self.respawn_times.append(now)
-        while self.respawn_times and now - self.respawn_times[0] > window_s:
+        while now - self.respawn_times[0] > window_s:
             self.respawn_times.popleft()
-        return len(self.respawn_times) > threshold
-
-    def respawned(self, now: float) -> None:
-        """Reset the backoff budget after a successful respawn."""
+        if len(self.respawn_times) > threshold:
+            self.crash_looped = True
+            return None
+        self.attempt += 1
+        try:
+            spawn()
+        except (OSError, ReproError):
+            delay = policy.delay_s(min(self.attempt, policy.max_attempts - 1) or 1)
+            self.next_attempt_at = clock() + delay
+            return None
         self.attempt = 0
         self.next_attempt_at = 0.0
         self.probe_failures = 0
         self.respawns += 1
+        return self.healed(clock())
 
     def healed(self, now: float) -> float | None:
         """Mark the slot healthy; returns the unhealthy duration if any."""

@@ -3,6 +3,7 @@ launcher worker pool, and the kill-and-resume exactly-once property."""
 
 import itertools
 import json
+import math
 import sqlite3
 import time
 
@@ -219,15 +220,61 @@ class TestCampaignStore:
     def test_reclaim_is_deterministic_in_the_clock(self, tmp_path):
         store, cid, _ = _submit(tmp_path)
         job = store.acquire(cid, "w0", now=100.0, lease_s=50.0)
-        assert store.reclaim(cid, now=149.0) == []  # lease still live
-        reclaimed = store.reclaim(cid, now=151.0)
+        assert store.reclaim(cid, "w1", now=149.0) == []  # lease still live
+        reclaimed = store.reclaim(cid, "w1", now=151.0)
         assert [j.job_id for j in reclaimed] == [job.job_id]
         assert store.job(job.job_id).state == "RESTARTING"
 
     def test_force_reclaim_ignores_live_lease(self, tmp_path):
+        # --resume forces recovery by claiming at now = inf.
         store, cid, _ = _submit(tmp_path)
         job = store.acquire(cid, "w0", now=100.0, lease_s=1000.0)
-        assert store.reclaim(cid, now=101.0, force=True)[0].job_id == job.job_id
+        assert store.reclaim(cid, "w1", math.inf)[0].job_id == job.job_id
+
+    def test_hooked_ready_sweep_is_set_based(self, tmp_path):
+        """A transition hook sees the production sweep: a constant
+        number of UPDATEs whatever the job count, one ``post`` call per
+        job moved, and the dependency cascade through the same path."""
+        updates = {}
+        for runs in (20, 200):
+            calls = []
+            store = CampaignStore(
+                tmp_path / f"fan{runs}.db",
+                on_transition=lambda job, old, new, when: calls.append(
+                    (job.job_id, old, new, when)
+                ),
+            )
+            spec = CampaignSpec(
+                name="fan", benchmark="noop",
+                parameters={"idx": ",".join(str(i) for i in range(runs))},
+                fixed={"duration_ms": "0"},
+                report={"x_axis": "idx", "metric": "bw_mean"},
+            )
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            cid = store.submit(spec, str(tmp_path / "knowledge.db"))
+            store._conn.set_trace_callback(None)
+            updates[runs] = sum(
+                1 for sql in statements if sql.lstrip().upper().startswith("UPDATE")
+            )
+            jobs = store.jobs(cid)
+            report = next(j for j in jobs if j.kind == "report")
+            assert calls == [
+                (j.job_id, "CREATED", "READY", "post")
+                for j in jobs if j.kind == "benchmark"
+            ]
+            assert len(calls) == runs and report.state == "CREATED"
+            # a permanent failure cascades to the report through the sweep
+            job = store.acquire(cid, "w0", now=0.0, lease_s=1.0)
+            calls.clear()
+            store.fail(job.job_id, "config error", retryable=False)
+            assert calls == [
+                (job.job_id, "RUNNING", "FAILED", "pre"),
+                (job.job_id, "RUNNING", "FAILED", "post"),
+                (report.job_id, "CREATED", "FAILED", "post"),
+            ]
+            store.close()
+        assert updates[20] == updates[200] == 4  # two statements, two passes
 
     def test_release_returns_the_attempt(self, tmp_path):
         store, cid, _ = _submit(tmp_path)

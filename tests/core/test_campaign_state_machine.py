@@ -9,10 +9,10 @@ with the model, and:
 * a lease has at most one owner: the job's ``lease_owner`` is the one
   launcher the model says holds it;
 * a token completes at most once;
-* a launcher whose lease was stolen (or that never held it) gets
-  :class:`LeaseLostError` from every owner-guarded call, while the
-  holder of a RESTARTING job may still complete it or fail it (a
-  retried failure within budget requeues it);
+* a launcher whose lease was stolen or reclaimed (or that never held
+  it) gets :class:`LeaseLostError` from every owner-guarded call, while
+  the claimer, now the holder of the RESTARTING job, may still
+  complete it or fail it (a retried failure within budget requeues it);
 * ``attempts`` never decreases, except that a release by the lease
   holder hands back the one attempt its own acquire spent.
 
@@ -21,6 +21,7 @@ The example stream is seeded from ``REPRO_FAULT_SEED`` (the
 other seeds.
 """
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -35,6 +36,13 @@ from hypothesis.stateful import (
 )
 
 from repro.core.campaign import CampaignSpec, CampaignStore
+from repro.core.campaign.launcher import (
+    TOKEN_PARAMETER,
+    TOTAL_PARAMETER,
+    Launcher,
+    open_sink,
+)
+from repro.core.knowledge import Knowledge
 from repro.util.errors import CampaignError, LeaseLostError
 
 OWNERS = ("A", "B", "C")
@@ -174,18 +182,23 @@ class CampaignLeaseMachine(RuleBasedStateMachine):
         model.holder = model.expires = None
         return True
 
-    # -- dead-launcher recovery (no lease guard: the owner is gone) -----
-    @rule(force=st.booleans())
-    def reclaim(self, force):
-        reclaimed = [j.job_id for j in self.store.reclaim(self.cid, self.now, force=force)]
+    # -- dead-launcher recovery: the same claim, for every expired lease --
+    @rule(claimer=owners, force=st.booleans())
+    def reclaim(self, claimer, force):
+        # --resume forces recovery by claiming at now = inf.
+        now = math.inf if force else self.now
+        reclaimed = [j.job_id for j in self.store.reclaim(self.cid, claimer, now)]
         expected = [
-            i for i in self.ids
-            if self.model[i].state == "RUNNING"
-            and (force or self.model[i].expires < self.now)
+            i for _, i in sorted(
+                (m.expires, i) for i, m in self.model.items()
+                if m.state == "RUNNING" and m.expires < now
+            )
         ]
         assert reclaimed == expected
         for job_id in expected:
-            self.model[job_id].state = "RESTARTING"  # holder kept: adoption
+            model = self.model[job_id]
+            self.lost[job_id].add(model.holder)
+            model.state, model.holder = "RESTARTING", claimer
 
     @rule(data=st.data())
     def requeue(self, data):
@@ -295,3 +308,50 @@ def test_retried_failure_of_a_stolen_job_past_its_budget_fails_it():
     failed = store.fail(job_id, "boom", retryable=True, owner="B")
     assert (failed.state, failed.lease_owner, failed.error) == ("FAILED", None, "boom")
     store.close()
+
+
+@pytest.mark.parametrize("committed", [True, False], ids=["adopt", "requeue"])
+def test_reclaim_locks_out_the_former_holder(tmp_path, committed):
+    """A's lease expires and B reclaims the job: A's owner-guarded
+    complete and fail are refused like its heartbeat, and B still
+    resolves the job by its token (adopt if A's rows committed, requeue
+    if not)."""
+    store = CampaignStore(tmp_path / "campaigns.db")
+    spec = CampaignSpec(
+        name="reclaimed", benchmark="noop", parameters={"idx": "0"},
+        fixed={"duration_ms": "0"},
+    )
+    cid = store.submit(spec, str(tmp_path / "knowledge.db"))
+    job = store.acquire(cid, "A", now=0.0, lease_s=1.0)
+    [reclaimed] = store.reclaim(cid, "B", now=2.0)
+    assert (reclaimed.job_id, reclaimed.state, reclaimed.lease_owner) == (
+        job.job_id, "RESTARTING", "B"
+    )
+    with pytest.raises(LeaseLostError):
+        store.heartbeat(job.job_id, 2.0, 1.0, owner="A")
+    with pytest.raises(LeaseLostError):
+        store.complete(job.job_id, [1], owner="A")
+    for retryable in (True, False):
+        with pytest.raises(LeaseLostError):
+            store.fail(job.job_id, "boom", retryable=retryable, owner="A")
+    assert store.job(job.job_id).state == "RESTARTING"
+
+    launcher = Launcher(store, cid, workspace=tmp_path / "ws", name="B")
+    launcher._sink = open_sink(str(tmp_path / "knowledge.db"))
+    try:
+        if committed:  # A persisted its rows before its lease ran out
+            [row_id] = launcher._sink.save_tagged(
+                [Knowledge(benchmark="noop", command="noop", parameters={
+                    TOKEN_PARAMETER: job.token, TOTAL_PARAMETER: 1,
+                })],
+                [],
+            )
+            assert launcher.resolve(reclaimed) == "adopted"
+            done = store.job(job.job_id)
+            assert (done.state, done.knowledge_ids) == ("DONE", (row_id,))
+        else:
+            assert launcher.resolve(reclaimed) == "requeued"
+            assert store.job(job.job_id).state == "READY"
+    finally:
+        launcher._sink.close()
+        store.close()

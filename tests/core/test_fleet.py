@@ -263,22 +263,22 @@ class TestFleetStore:
             CampaignStore(path)
 
     def test_expired_scans_use_a_covering_index(self, tmp_path):
-        # The reclaim/steal scans must be index searches on
-        # (campaign_id, state[, lease_expires_at]), never a table sweep.
+        # The expired-lease claim behind steal and reclaim must be an
+        # index search on (campaign_id, state, lease_expires_at), never
+        # a table sweep, and needs no sort step for its order.
         store, cid = submit_noop(tmp_path, 2)
-        for query in (
-            "SELECT id FROM campaign_jobs WHERE campaign_id = 1 AND state = 'RUNNING' "
-            "AND lease_expires_at IS NOT NULL AND lease_expires_at < 5.0 "
-            "ORDER BY lease_expires_at, id",
-            "SELECT id FROM campaign_jobs WHERE campaign_id = 1 AND state = 'RUNNING' "
-            "AND (lease_expires_at IS NULL OR lease_expires_at < 5.0) ORDER BY id",
-        ):
-            plan = " ".join(
-                row["detail"]
-                for row in store._conn.execute("EXPLAIN QUERY PLAN " + query)
-            )
-            assert "INDEX idx_campaign_jobs_" in plan, plan
-            assert "SCAN campaign_jobs" not in plan, plan
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        store.steal(cid, "thief", 5.0)
+        store._conn.set_trace_callback(None)
+        [query] = [sql for sql in statements if "lease_expires_at <" in sql]
+        plan = " ".join(
+            row["detail"]
+            for row in store._conn.execute("EXPLAIN QUERY PLAN " + query)
+        )
+        assert "INDEX idx_campaign_jobs_lease" in plan, plan
+        assert "SCAN campaign_jobs" not in plan, plan
+        assert "TEMP B-TREE" not in plan, plan
         store.close()
 
     def test_batched_reclaim_only_touches_expired(self, tmp_path):
@@ -286,7 +286,7 @@ class TestFleetStore:
         expired = store.acquire(cid, "dead", 0.0, 1.0)
         for _ in range(3):
             store.acquire(cid, "live", 0.0, 100.0)
-        reclaimed = store.reclaim(cid, now=50.0)
+        reclaimed = store.reclaim(cid, "recovery", now=50.0)
         assert [j.job_id for j in reclaimed] == [expired.job_id]
         assert store.counts(cid)[RUNNING] == 3
         store.close()

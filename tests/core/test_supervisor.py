@@ -1,6 +1,7 @@
 """Self-healing knowledge server: supervised respawn, breaker heal via
 half-open probe, crash-loop demotion, startup deadlines, the health op,
-and the client honoring server-supplied ``retry_after`` hints."""
+the client honoring server-supplied ``retry_after`` hints, and the
+dead-child step both supervisors share, on a fake clock."""
 
 import socket
 import time
@@ -22,6 +23,7 @@ from repro.core.service.server import (
     WorkerHandle,
 )
 from repro.core.service.wire import error_body, error_code, raise_wire_error
+from repro.core.supervise import SupervisedSlot
 from repro.util.errors import (
     ServiceError,
     ServiceTransportError,
@@ -58,6 +60,67 @@ def _counter(metrics: MetricsRegistry, name: str) -> float:
     if not family:
         return 0.0
     return sum(row["value"] for row in family["series"])
+
+
+# ----------------------------------------------------------------------
+# the shared dead-child step (server supervisor and launcher fleet)
+# ----------------------------------------------------------------------
+class TestRespawnStep:
+    def test_backoff_respawn_and_crash_loop_on_a_fake_clock(self):
+        clock = SimpleNamespace(now=100.0)
+        policy = RetryPolicy(
+            max_attempts=4, base_delay_s=1.0, multiplier=2.0, max_delay_s=60.0,
+            jitter=0.0, salt="respawn-step",
+        )
+        slot = SupervisedSlot()
+        spawned = []
+
+        def step(spawn_ok):
+            def spawn():
+                spawned.append(clock.now)
+                if not spawn_ok:
+                    raise OSError("injected: fork failed")
+
+            return slot.respawn_dead(
+                lambda: clock.now, spawn, policy=policy, window_s=30.0, threshold=2
+            )
+
+        # A failing spawn backs off by the policy's delay for attempt 1.
+        assert step(spawn_ok=False) is None
+        assert spawned == [100.0]
+        assert (slot.unhealthy_since, slot.attempt) == (100.0, 1)
+        assert slot.next_attempt_at == 100.0 + policy.delay_s(1) == 101.0
+        # Inside the backoff gate nothing is spawned.
+        clock.now = 100.5
+        assert step(spawn_ok=True) is None
+        assert spawned == [100.0]
+        # Once the gate lapses the respawn succeeds: budget reset, healed.
+        clock.now = 101.0
+        assert step(spawn_ok=True) == pytest.approx(1.0)
+        assert spawned == [100.0, 101.0]
+        assert (slot.attempt, slot.next_attempt_at, slot.respawns) == (0, 0.0, 1)
+        assert (slot.unhealthy_since, slot.last_heal_at) == (None, 101.0)
+        assert not slot.crash_looped
+        # The child dies again inside the window: two attempts are
+        # already in it, so the third crosses threshold 2 and is a crash
+        # loop; nothing is spawned.
+        clock.now = 110.0
+        assert step(spawn_ok=True) is None
+        assert spawned == [100.0, 101.0]
+        assert slot.crash_looped and slot.respawns == 1
+
+    def test_attempts_outside_the_window_do_not_count(self):
+        clock = SimpleNamespace(now=0.0)
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
+        slot = SupervisedSlot()
+        for now in (0.0, 40.0, 80.0, 120.0):  # one death per 40 s, window 30 s
+            clock.now = now
+            heal_s = slot.respawn_dead(
+                lambda: clock.now, lambda: None, policy=policy,
+                window_s=30.0, threshold=1,
+            )
+            assert heal_s == 0.0
+        assert slot.respawns == 4 and not slot.crash_looped
 
 
 # ----------------------------------------------------------------------
