@@ -12,10 +12,11 @@ file-per-process, and one file per group of ranks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from repro.iostack.mpiio import MPIIOFile
-from repro.iostack.posix import PosixFile, PosixLayer
+import numpy as np
+
 from repro.iostack.stack import IOJobContext
 from repro.util.errors import BenchmarkError, ConfigurationError
 from repro.util.units import MIB
@@ -108,79 +109,55 @@ class HaccIOResult:
 def _run_phase(ctx: IOJobContext, config: HaccIOConfig, operation: str, run_id: int) -> HaccIOPhaseResult:
     comm = ctx.comm
     fs = ctx.fs
-    layer = ctx.layer(config.api)
-    access = operation
+    layer = ctx.layer(config.api, phase=True)
     tags = {"benchmark": "hacc-io", "run": run_id, "op": operation, "mode": config.mode}
     t0 = comm.barrier()
     nbytes = config.bytes_per_rank
     full_transfers, remainder = divmod(nbytes, config.transfer_size)
-
-    for rank in comm.ranks():
-        shared = config.ranks_sharing(comm.size, rank) > 1
-        pctx = ctx.phase_ctx(access, shared_file=shared, tags=tags)
-        now = comm.now(rank)
-        path = config.file_for_rank(rank)
-        if isinstance(layer, PosixLayer):
-            if operation == "write":
-                handle, dt = layer.open_shared(path, rank, pctx, now)
-            else:
-                handle, dt = layer.open(path, rank, pctx, now)
-        else:
-            handle, dt = layer.open(
-                path, rank, pctx, now, create=(operation == "write"), shared_file=shared
-            )
-        now += dt
-        total = dt
+    totals = np.zeros(comm.size)
+    # One context per group of ranks that share files or not: the whole
+    # phase, except a file-per-group tail group of one rank.
+    for shared, group in itertools.groupby(
+        comm.ranks(), key=lambda rank: config.ranks_sharing(comm.size, rank) > 1
+    ):
+        ranks = list(group)
+        pctx = ctx.phase_ctx(operation, shared_file=shared, tags=tags)
+        paths = [config.file_for_rank(rank) for rank in ranks]
+        handles, total = layer.open_all(
+            paths, ranks, pctx, t0, create=(operation == "write"), shared_file=shared
+        )
+        now = t0 + total
         # Contiguous per-rank record at a rank-order offset.
-        offset = (rank % config.ranks_sharing(comm.size, rank)) * nbytes if shared else 0
-        _seek(handle, offset)
+        offsets = [
+            (rank % config.ranks_sharing(comm.size, rank)) * nbytes if shared else 0
+            for rank in ranks
+        ]
         if full_transfers:
-            durations = handle.io_many(operation, config.transfer_size, full_transfers, pctx, now)
-            step = float(durations.sum())
-            now += step
-            total += step
+            step = layer.io_all(
+                handles, operation, config.transfer_size, full_transfers, pctx, now,
+                offsets=offsets,
+            ).sum(axis=1)
+            now = now + step
+            total = total + step
         if remainder:
-            step = _single_io(handle, operation, remainder, pctx, now)
-            now += step
-            total += step
-        total += _close(handle, now, pctx)
-        comm.advance(rank, total)
+            at = [offset + full_transfers * config.transfer_size for offset in offsets]
+            step = layer.transfer_all(handles, operation, remainder, pctx, now, at)
+            now = now + step
+            total = total + step
+        totals[ranks] = total + layer.close_all(handles, now)
+    comm.advance_all(totals)
+    layer.tracer.flush()
     comm.barrier()
     elapsed = comm.max_time() - t0
     data = nbytes * comm.size
-    phase_factor = fs.model.phase_noise_factor(
-        ctx.phase_ctx(access, tags=tags), kind="data"
-    )
-    elapsed *= phase_factor
+    # The phase noise is keyed by the tags and access alone.
+    elapsed *= fs.model.phase_noise_factor(pctx, kind="data")
     return HaccIOPhaseResult(
         operation=operation,
         bandwidth_mib=data / MIB / elapsed,
         time_s=elapsed,
         data_moved_bytes=data,
     )
-
-
-def _seek(handle, offset: int) -> None:
-    if isinstance(handle, PosixFile):
-        handle.seek(offset)
-    elif isinstance(handle, MPIIOFile):
-        handle.posix.seek(offset)
-
-
-def _single_io(handle, operation: str, nbytes: int, pctx, now: float) -> float:
-    if isinstance(handle, PosixFile):
-        return handle.write(nbytes, pctx, now) if operation == "write" else handle.read(nbytes, pctx, now)
-    pos = handle.posix.offset
-    if operation == "write":
-        dt = handle.write_at(pos, nbytes, pctx, now)
-    else:
-        dt = handle.read_at(pos, nbytes, pctx, now)
-    handle.posix.seek(pos + nbytes)
-    return dt
-
-
-def _close(handle, now: float, pctx) -> float:
-    return handle.close(now)
 
 
 def run_hacc_io(config: HaccIOConfig, ctx: IOJobContext, run_id: int = 0) -> HaccIOResult:

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.benchmarks_io.ior.config import IORConfig
-from repro.iostack.hdf5 import HDF5File, HDF5Layer
-from repro.iostack.mpiio import MPIIOFile, MPIIOLayer
-from repro.iostack.posix import PosixFile, PosixLayer
 from repro.iostack.stack import IOJobContext, Testbed
 from repro.iostack.tracing import Tracer
-from repro.util.errors import BenchmarkError
+from repro.util.errors import BenchmarkError, FileNotFoundInPFSError
 from repro.util.stats import Summary, summarize
 from repro.util.units import MIB
 
@@ -99,40 +96,9 @@ class IORRunResult:
         return [op for op in ("write", "read") if op in present]
 
 
-def _open_file(
-    layer: PosixLayer | MPIIOLayer | HDF5Layer,
-    path: str,
-    rank: int,
-    pctx,
-    now: float,
-    create: bool,
-    shared: bool,
-) -> tuple[PosixFile | MPIIOFile | HDF5File, float]:
-    if isinstance(layer, PosixLayer):
-        if create:
-            return layer.open_shared(path, rank, pctx, now)
-        return layer.open(path, rank, pctx, now)
-    return layer.open(path, rank, pctx, now, create=create, shared_file=shared)
-
-
-def _close_file(handle, now: float, pctx) -> float:
-    if isinstance(handle, HDF5File):
-        return handle.close(now, pctx)
-    return handle.close(now)
-
-
-def _fsync_file(handle, now: float) -> float:
-    if isinstance(handle, PosixFile):
-        return handle.fsync(now)
-    if isinstance(handle, MPIIOFile):
-        return handle.sync(now)
-    return handle.flush(now)
-
-
 def _run_phase(
     ctx: IOJobContext,
     config: IORConfig,
-    layer: PosixLayer | MPIIOLayer | HDF5Layer,
     iteration: int,
     operation: str,
     run_id: int,
@@ -163,56 +129,51 @@ def _run_phase(
     # One systemic noise factor per phase: the state of the shared
     # storage system during this iteration (what makes Fig. 5 vary).
     phase_factor = fs.model.phase_noise_factor(pctx)
+    layer = ctx.layer(config.api, config.hints, phase=True)
 
+    # Every rank runs open / transfers / (fsync) / close from the
+    # barrier; each step is accounted for all ranks in one call.
     t0 = comm.barrier()
-    open_times = np.zeros(comm.size)
-    io_times = np.zeros(comm.size)
-    close_times = np.zeros(comm.size)
-    ops_done = np.zeros(comm.size, dtype=int)
-    n_ops_per_task = config.transfers_per_task
-    deadline = config.stonewall_seconds
-
-    for rank in comm.ranks():
-        now = comm.now(rank)
-        path = config.file_for_rank(rank)
-        if access == "read" and not fs.namespace.exists(path):
-            raise BenchmarkError(
-                f"read phase: test file {path!r} does not exist "
-                "(run a write phase first or drop -r)"
-            )
-        handle, dt_open = _open_file(
-            layer, path, rank, pctx, now, create=(access == "write"), shared=config.shared_file
+    ranks = comm.ranks()
+    paths = [config.file_for_rank(rank) for rank in ranks]
+    try:
+        handles, dt_open = layer.open_all(
+            paths, ranks, pctx, t0, create=(access == "write"), shared_file=config.shared_file
         )
-        dt_open *= phase_factor
-        now += dt_open
-
-        if config.shared_file:
-            # Segmented layout: rank r accesses block r of every segment.
-            handle_pos = rank * config.block_size
-            _seek(handle, handle_pos)
-        durations = _io_many(handle, operation, config, pctx, now) * phase_factor
-        if deadline > 0:
-            # Stonewalling (-D): each task stops issuing transfers once
-            # the deadline passes.  (The namespace may briefly over-
-            # account the file size; the post-phase fixup below corrects
-            # shared files, and per-process files only matter for
-            # subsequent reads, which stonewall the same way.)
-            cumulative = np.cumsum(durations)
-            n_done = int(np.searchsorted(cumulative, deadline, side="right"))
-            durations = durations[: max(1, n_done)]
-        ops_done[rank] = len(durations)
-        dt_io = float(durations.sum())
-        now += dt_io
-        if config.fsync and access == "write":
-            dt_fsync = _fsync_file(handle, now) * phase_factor
-            dt_io += dt_fsync
-            now += dt_fsync
-        dt_close = _close_file(handle, now, pctx) * phase_factor
-
-        open_times[rank] = dt_open
-        io_times[rank] = dt_io
-        close_times[rank] = dt_close
-        comm.advance(rank, dt_open + dt_io + dt_close)
+    except FileNotFoundInPFSError as exc:
+        if access == "write":
+            raise
+        raise BenchmarkError(
+            f"read phase: test file {exc} does not exist (run a write phase first or drop -r)"
+        ) from None
+    dt_open = dt_open * phase_factor
+    now = t0 + dt_open
+    # Segmented N-to-1 layout: rank r accesses block r of every segment.
+    offsets = [rank * config.block_size for rank in ranks] if config.shared_file else None
+    durations = layer.io_all(
+        handles, operation, config.transfer_size, config.transfers_per_task, pctx, now,
+        collective=config.collective, offsets=offsets,
+    ) * phase_factor
+    if config.stonewall_seconds > 0:
+        # Stonewalling (-D): each task stops issuing transfers once
+        # the deadline passes.  (The namespace may briefly over-
+        # account the file size; the post-phase fixup below corrects
+        # shared files, and per-process files only matter for
+        # subsequent reads, which stonewall the same way.)
+        done = (np.cumsum(durations, axis=1) <= config.stonewall_seconds).sum(axis=1)
+        ops_done = np.maximum(1, done)
+        dt_io = np.array([row[:n].sum() for row, n in zip(durations, ops_done)])
+    else:
+        ops_done = np.full(comm.size, config.transfers_per_task)
+        dt_io = durations.sum(axis=1)
+    now = now + dt_io
+    if config.fsync and access == "write":
+        dt_fsync = layer.sync_all(handles, now) * phase_factor
+        dt_io = dt_io + dt_fsync
+        now = now + dt_fsync
+    dt_close = layer.close_all(handles, now, pctx) * phase_factor
+    comm.advance_all(dt_open + dt_io + dt_close)
+    layer.tracer.flush()
 
     comm.barrier()
     if config.shared_file and access == "write":
@@ -224,37 +185,19 @@ def _run_phase(
     total = comm.max_time() - t0
     n_ops_total = int(ops_done.sum())
     data_moved = n_ops_total * config.transfer_size
-    io_time = float(io_times.max())
+    io_time = float(dt_io.max())
     return IOROperationResult(
         operation=operation,
         iteration=iteration,
         bandwidth_mib=data_moved / MIB / total,
         iops=n_ops_total / io_time,
         latency_s=io_time / max(1, int(ops_done.max())),
-        open_time_s=float(open_times.max()),
+        open_time_s=float(dt_open.max()),
         io_time_s=io_time,
-        close_time_s=float(close_times.max()),
+        close_time_s=float(dt_close.max()),
         total_time_s=total,
         data_moved_bytes=data_moved,
         n_ops=n_ops_total,
-    )
-
-
-def _seek(handle, offset: int) -> None:
-    if isinstance(handle, PosixFile):
-        handle.seek(offset)
-    elif isinstance(handle, MPIIOFile):
-        handle.posix.seek(offset)
-    else:
-        handle.mpiio.posix.seek(offset)
-
-
-def _io_many(handle, operation: str, config: IORConfig, pctx, now: float) -> np.ndarray:
-    n_ops = config.transfers_per_task
-    if isinstance(handle, PosixFile):
-        return handle.io_many(operation, config.transfer_size, n_ops, pctx, now)
-    return handle.io_many(
-        operation, config.transfer_size, n_ops, pctx, now, collective=config.collective
     )
 
 
@@ -267,7 +210,6 @@ def run_ior_in_job(
     """Run IOR inside an existing job allocation (used by IO500)."""
     fs = ctx.fs
     fs.makedirs(posixpath.dirname(config.test_file))
-    layer = ctx.layer(config.api, config.hints)
     result = IORRunResult(
         config=config,
         num_nodes=ctx.num_nodes,
@@ -278,11 +220,11 @@ def run_ior_in_job(
     for iteration in range(config.iterations):
         if config.write_file:
             result.results.append(
-                _run_phase(ctx, config, layer, iteration, "write", run_id, extra_tags)
+                _run_phase(ctx, config, iteration, "write", run_id, extra_tags)
             )
         if config.read_file:
             result.results.append(
-                _run_phase(ctx, config, layer, iteration, "read", run_id, extra_tags)
+                _run_phase(ctx, config, iteration, "read", run_id, extra_tags)
             )
         if not config.keep_file:
             # IOR removes the data set after each repetition unless -k.

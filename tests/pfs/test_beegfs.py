@@ -70,15 +70,15 @@ class TestNamespaceOps:
 
     def test_io_many_extends_size(self, fs):
         entry, _ = fs.create("/scratch/a", wctx())
-        durations = fs.io_many(entry, 1 * MIB, 10, wctx(), rank=2)
-        assert durations.shape == (10,)
+        durations, _ = fs.phase_io("write", [entry], 1 * MIB, 10, wctx(), ranks=[2])
+        assert durations.shape == (1, 10)
         assert entry.size == 10 * MIB
 
     def test_io_many_read_checks_size(self, fs):
         entry, _ = fs.create("/scratch/a", wctx())
-        fs.io_many(entry, 1 * MIB, 4, wctx())
+        fs.phase_io("write", [entry], 1 * MIB, 4, wctx())
         with pytest.raises(FileSystemError):
-            fs.io_many(entry, 1 * MIB, 5, rctx())
+            fs.phase_io("read", [entry], 1 * MIB, 5, rctx())
 
     def test_round_robin_file_placement(self, fs):
         # Consecutive files must start on different target slots so

@@ -186,19 +186,34 @@ class TestRooflineCache:
 
 
 def _bandwidth_queries(testbed, run):
-    """(context, transfer size, layout) of every bandwidth query ``run`` makes."""
+    """(context, transfer size, layout) of every bandwidth query ``run``
+    makes, and of every rank's transfers it prices (one per row of a
+    phase call, which queries each distinct layout once)."""
     model = testbed.fs.model
-    queries = []
-    real = model.per_rank_bandwidth_bps
+    queries, rows = [], []
+    real, real_phase = model.per_rank_bandwidth_bps, model.phase_times_s
 
     def spy(transfer_size, lo, c):
         queries.append((c, transfer_size, lo))
         return real(transfer_size, lo, c)
 
+    def spy_phase(nbytes, layouts, c, *args, **kwargs):
+        rows.extend((c, nbytes, lo) for lo in layouts)
+        return real_phase(nbytes, layouts, c, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "per_rank_bandwidth_bps", spy)
+        mp.setattr(model, "phase_times_s", spy_phase)
         run()
-    return queries
+    return queries, rows
+
+
+def _priced_and_queried(queries, rows, keep):
+    """The ``(size, layout)`` of every kept rank row and of every kept query."""
+    return (
+        [(size, lo) for c, size, lo in rows if keep(c)],
+        {(size, lo) for c, size, lo in queries if keep(c)},
+    )
 
 
 class TestBindingAtCalibrationPoints:
@@ -214,7 +229,7 @@ class TestBindingAtCalibrationPoints:
             Fault(name="degraded-iter2", factor=0.44,
                   when={"benchmark": "ior", "iteration": 1, "op": "write"})
         )
-        queries = _bandwidth_queries(
+        queries, rows = _bandwidth_queries(
             testbed,
             lambda: run_ior(parse_command(self.COMMAND), testbed, num_nodes=4, tasks_per_node=20),
         )
@@ -222,19 +237,29 @@ class TestBindingAtCalibrationPoints:
         for c, size, lo in queries:
             if c.access == "write":
                 writes[c.tags["iteration"]].append((testbed.fs.model.roofline(c), size, lo))
-        return writes
+        priced = {
+            i: _priced_and_queried(
+                queries, rows, lambda c, i=i: c.access == "write" and c.tags["iteration"] == i
+            )
+            for i in (0, 1)
+        }
+        return writes, priced
 
     def test_section_v_e1_write_is_pool_bound(self, ior_writes):
-        assert len(ior_writes[0]) == 80
-        assert {rl.binding(size, lo) for rl, size, lo in ior_writes[0]} == {"pool"}
-        rl, size, lo = ior_writes[0][0]
+        writes, priced = ior_writes
+        ranks, queried = priced[0]
+        assert len(ranks) == 80 and set(ranks) == queried
+        assert {rl.binding(size, lo) for rl, size, lo in writes[0]} == {"pool"}
+        rl, size, lo = writes[0][0]
         aggregate_mib = [t * rl.active_procs / MIB for t in rl.terms(size, lo)]
         assert aggregate_mib == pytest.approx([2936, 137173, 91553, 25940, 25749], abs=1)
 
     def test_fig5_degraded_iteration_is_pool_bound(self, ior_writes):
-        assert len(ior_writes[1]) == 80
+        writes, priced = ior_writes
+        ranks, queried = priced[1]
+        assert len(ranks) == 80 and set(ranks) == queried
         # Storage-side, as the paper's degraded-storage reading needs.
-        assert {rl.binding(size, lo) for rl, size, lo in ior_writes[1]} == {"pool"}
+        assert {rl.binding(size, lo) for rl, size, lo in writes[1]} == {"pool"}
 
     def test_fig6_broken_server_read_is_pool_bound(self):
         testbed = Testbed.fuchs_csc(seed=650)
@@ -242,7 +267,7 @@ class TestBindingAtCalibrationPoints:
             Fault(name="broken-node", factor=0.35, scope="server", server="stor01",
                   when={"op": "read"})
         )
-        queries = _bandwidth_queries(
+        queries, rows = _bandwidth_queries(
             testbed,
             lambda: run_io500(IO500Config(workdir="/scratch/io500/broken"), testbed,
                               num_nodes=2, tasks_per_node=20, run_id=99),
@@ -252,7 +277,10 @@ class TestBindingAtCalibrationPoints:
             for c, size, lo in queries
             if c.tags.get("phase") == "ior-easy-read"
         ]
-        assert len(easy_reads) == 40
+        ranks, queried = _priced_and_queried(
+            queries, rows, lambda c: c.tags.get("phase") == "ior-easy-read"
+        )
+        assert len(ranks) == 40 and set(ranks) == queried
         # Some ranks stripe over the broken server, some do not.
         assert any("stor01" in {testbed.fs.pool.target(t).server for t in lo.target_ids}
                    for _, _, lo in easy_reads)
