@@ -742,20 +742,27 @@ class CampaignStore:
     ) -> JobRow | None:
         """The one expired-lease takeover: RUNNING → RESTARTING for ``owner``.
 
-        Candidates are RUNNING jobs whose lease expired before ``now``
-        (or was never stamped), longest-expired first, then lowest id,
-        so competing claimers scan in the same order.  The claim is
-        guarded on the *observed* lease columns: a heartbeat racing it
+        Candidates are RUNNING jobs whose lease was never stamped, by
+        lowest id, then those whose lease expired before ``now``,
+        longest-expired first, then lowest id, so competing claimers scan
+        in the same order.  Each kind is its own index seek on
+        ``(campaign_id, state, lease_expires_at)``: an ``IS NULL`` key
+        and a lease range, never a walk of every RUNNING row.  The claim
+        is guarded on the *observed* lease columns: a heartbeat racing it
         (the holder was slow, not dead) invalidates it and the holder
         keeps its job.  A won claim makes ``owner`` the ``lease_owner``.
         """
+        select = (
+            "SELECT id, lease_owner, lease_expires_at FROM campaign_jobs "
+            "WHERE campaign_id = ? AND state = ? AND "
+        )
         with self._lock:
             self._check_open()
             rows = self._conn.execute(
-                "SELECT id, lease_owner, lease_expires_at FROM campaign_jobs "
-                "WHERE campaign_id = ? AND state = ? "
-                "AND (lease_expires_at IS NULL OR lease_expires_at < ?) "
-                "ORDER BY lease_expires_at, id LIMIT 16",
+                select + "lease_expires_at IS NULL ORDER BY id LIMIT 16",
+                (campaign_id, RUNNING),
+            ).fetchall() + self._conn.execute(
+                select + "lease_expires_at < ? ORDER BY lease_expires_at, id LIMIT 16",
                 (campaign_id, RUNNING, now),
             ).fetchall()
             for row in rows:

@@ -264,21 +264,27 @@ class TestFleetStore:
 
     def test_expired_scans_use_a_covering_index(self, tmp_path):
         # The expired-lease claim behind steal and reclaim must be an
-        # index search on (campaign_id, state, lease_expires_at), never
-        # a table sweep, and needs no sort step for its order.
+        # index search on (campaign_id, state, lease_expires_at) that
+        # seeks the lease range (expired leases) or the NULL key (never
+        # stamped), never a walk of every RUNNING row or a table sweep,
+        # and needs no sort step for its order.
         store, cid = submit_noop(tmp_path, 2)
         statements = []
         store._conn.set_trace_callback(statements.append)
         store.steal(cid, "thief", 5.0)
         store._conn.set_trace_callback(None)
-        [query] = [sql for sql in statements if "lease_expires_at <" in sql]
-        plan = " ".join(
-            row["detail"]
-            for row in store._conn.execute("EXPLAIN QUERY PLAN " + query)
-        )
-        assert "INDEX idx_campaign_jobs_lease" in plan, plan
-        assert "SCAN campaign_jobs" not in plan, plan
-        assert "TEMP B-TREE" not in plan, plan
+        for marker, seek in (("lease_expires_at <", "lease_expires_at<?"),
+                             ("lease_expires_at IS NULL", "lease_expires_at=?")):
+            [query] = [sql for sql in statements if marker in sql]
+            plan = " ".join(
+                row["detail"]
+                for row in store._conn.execute("EXPLAIN QUERY PLAN " + query)
+            )
+            assert "SEARCH campaign_jobs USING" in plan, plan
+            assert "INDEX idx_campaign_jobs_lease" in plan, plan
+            assert seek in plan, plan
+            assert "SCAN campaign_jobs" not in plan, plan
+            assert "TEMP B-TREE" not in plan, plan
         store.close()
 
     def test_batched_reclaim_only_touches_expired(self, tmp_path):
