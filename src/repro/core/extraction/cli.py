@@ -84,14 +84,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             KnowledgeDatabase,
             KnowledgeRepository,
         )
+        from repro.core.persistence.backend import ResilientBackend
 
-        with KnowledgeDatabase(args.db) as db:
-            repo, io5 = KnowledgeRepository(db), IO500Repository(db)
-            for k in knowledge:
-                if isinstance(k, IO500Knowledge):
-                    io5.save(k)
-                else:
-                    repo.save(k)
+        # One write path, as in repro-cycle: transient "database is
+        # locked" errors are retried, behind the circuit breaker.
+        try:
+            with KnowledgeDatabase(args.db) as db:
+                backend = ResilientBackend(db)
+                repo, io5 = KnowledgeRepository(backend), IO500Repository(backend)
+                for k in knowledge:
+                    if isinstance(k, IO500Knowledge):
+                        io5.save(k)
+                    else:
+                        repo.save(k)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"persisted to {args.db}")
     if args.json:
         from repro.core.persistence import export_json

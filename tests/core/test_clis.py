@@ -1,5 +1,7 @@
 """Tests for the repro-extract / repro-explore / repro-ior CLIs."""
 
+import sqlite3
+
 import pytest
 
 from repro.benchmarks_io.ior import parse_command, render_ior_output, run_ior
@@ -36,6 +38,25 @@ class TestExtractCLI:
         )
         assert rc == 0
         assert db.exists() and js.exists() and cs.exists()
+        with KnowledgeDatabase(db) as kdb:
+            assert KnowledgeRepository(kdb).list_ids() == [1]
+
+    def test_db_writes_go_through_the_resilient_backend(self, run_dir, tmp_path, monkeypatch):
+        # One transient "database is locked" on the first knowledge row
+        # is retried by the backend instead of failing the extraction.
+        db = tmp_path / "k.db"
+        faults = ["database is locked"]
+        real = KnowledgeDatabase.execute
+
+        def flaky(self, sql, params=()):
+            if "INSERT INTO performances" in sql and faults:
+                raise sqlite3.OperationalError(faults.pop())
+            return real(self, sql, params)
+
+        monkeypatch.setattr(KnowledgeDatabase, "execute", flaky)
+        assert extract_main([str(run_dir), "--db", str(db), "--quiet"]) == 0
+        assert faults == []
+        monkeypatch.undo()
         with KnowledgeDatabase(db) as kdb:
             assert KnowledgeRepository(kdb).list_ids() == [1]
 
