@@ -4,11 +4,13 @@ Three pieces, one wire protocol:
 
 * :class:`WorkerHandle` — one shard-group worker *process* (spawned as
   ``python -m repro.core.service.worker`` with ``socketpair`` channels
-  passed by fd).  The parent talks to it in ``repro.wire/v1`` frames,
-  one in-flight request per channel, and guards it with a circuit
-  breaker: a worker that stops answering is quarantined, and requests
-  for its shards fail fast with a typed ``quarantine`` error instead of
-  piling onto a dead process.
+  passed by fd).  The parent talks to it through the client's request
+  path (:class:`~repro.core.service.transport.WireRequester`), one
+  in-flight request per channel; the handle adds only its fixed
+  channel pool and a checkout that fails fast once the process is
+  gone.  A worker that stops answering trips its circuit breaker, and
+  requests for its shards fail fast with a typed ``quarantine`` error
+  instead of piling onto a dead process.
 * :class:`ShardRouter` — routes each operation to the worker(s) owning
   the shards it touches.  Placement reuses the store's deterministic
   key hash, global-id decoding names the shard directly, and the
@@ -18,10 +20,12 @@ Three pieces, one wire protocol:
   have produced.  The read-only ones are scattered to every owning
   worker before any reply is read; single-owner results and
   ``fetch_many`` objects are relayed as bytes, never decoded here.
-* :class:`KnowledgeServer` — the TCP front end: accepts connections,
-  answers ``hello`` protocol negotiation, hardens against malformed
-  frames (typed error frame or clean close — never a crashed thread),
-  counts every connection/frame/byte under ``service.transport.*``, and
+* :class:`KnowledgeServer` — the TCP front end: accepts connections
+  and serves each with the workers' own loop
+  (:func:`~repro.core.service.wire.serve_frames`), so malformed frames
+  get the same typed error frame or clean close on both hops — never a
+  crashed thread.  It answers ``hello`` protocol negotiation, counts
+  every connection/frame/byte under ``service.transport.*``, and
   drains gracefully: stop accepting, finish in-flight requests, answer
   ``draining`` to new ones, then close the worker channels so each
   worker flushes its shards and exits 0.
@@ -34,7 +38,6 @@ store, reachable from another process or host via ``knowledge+tcp://``.
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue
 import select
@@ -45,37 +48,27 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import repro
 from repro.core.persistence.scan import merge_partial_payloads
 from repro.core.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.core.supervise import SupervisedSlot
-from repro.core.service.ops import MUTATING_OPS, SERVICE_OPS
+from repro.core.service.ops import SERVICE_OPS
 from repro.core.service.shard import (
     KnowledgeShardMap,
     decode_knowledge_id,
     group_by_owner,
     shard_index_for_key,
 )
+from repro.core.service.transport import WireRequester, _Pending
 from repro.core.service.wire import (
-    MAX_FRAME_BYTES,
     PROTOCOL,
-    TruncatedFrameError,
     WireProtocolError,
-    WireVersionError,
-    decode_body,
-    encode_body,
-    error_body,
     join_fragments,
-    ok_reply,
-    ok_result,
-    raise_wire_error,
-    read_body,
-    read_frame,
+    serve_frames,
     split_fragments,
     with_wire_code,
-    write_frame,
 )
 from repro.util.errors import (
     PersistenceError,
@@ -96,15 +89,7 @@ __all__ = [
 ]
 
 
-class _Pending(NamedTuple):
-    """One request written to a worker channel, its reply not yet read."""
-
-    channel: socket.socket
-    request_id: int
-    op: str
-
-
-class WorkerHandle:
+class WorkerHandle(WireRequester):
     """The parent-side handle of one shard-group worker process."""
 
     def __init__(
@@ -115,122 +100,23 @@ class WorkerHandle:
         channels: Sequence[socket.socket],
         *,
         breaker: CircuitBreaker,
-        max_frame: int = MAX_FRAME_BYTES,
         request_timeout_s: float = 30.0,
     ) -> None:
+        super().__init__(
+            f"shard-group worker {index} (shards {list(owned_shards)})",
+            breaker,
+            request_timeout_s,
+        )
         self.index = index
         self.owned_shards = tuple(owned_shards)
         self.process = process
-        self.breaker = breaker
-        self.max_frame = max_frame
-        self.request_timeout_s = request_timeout_s
         self.channel_count = len(channels)
         self._pool: "queue.Queue[socket.socket]" = queue.Queue()
         self._all_channels = list(channels)
         for channel in channels:
             self._pool.put(channel)
-        self._seq = itertools.count(1)
 
-    def call(
-        self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
-    ) -> dict[str, object]:
-        """One wire round-trip to the worker; raises typed errors.
-
-        ``receive(send(...))``; ``timeout_s`` overrides the handle's
-        default per-request timeout (the supervisor uses a short one for
-        startup and heal probes).
-        """
-        return self.receive(self.send(op, payload, timeout_s=timeout_s))  # type: ignore[return-value]
-
-    def send(
-        self, op: str, payload: dict[str, object], *, timeout_s: float | None = None
-    ) -> _Pending:
-        """Claim a channel and write one request on it; the reply is
-        read by :meth:`receive`, which must follow on every returned
-        pending request so the channel goes back to the pool.
-
-        Transport faults (dead channel, short read, timeout) trip the
-        breaker and surface as :class:`ServiceTransportError` — marked
-        non-retryable for mutating ops, whose effect on the worker is
-        unknowable once the request left this process.
-        """
-        effective = self.request_timeout_s if timeout_s is None else timeout_s
-        if not self.breaker.allow():
-            exc = ServiceTransportError(
-                f"shard-group worker {self.index} "
-                f"(shards {list(self.owned_shards)}) is quarantined by its "
-                "circuit breaker; its shards are unavailable until it heals",
-                retryable=True,
-            )
-            exc.retry_after_s = self.breaker.retry_after_s
-            raise with_wire_code(exc, "quarantine")
-        channel = self._checkout_channel(effective)
-        pending = _Pending(channel, next(self._seq), op)
-        try:
-            channel.settimeout(effective)
-            write_frame(
-                channel,
-                {"id": pending.request_id, "op": op, "args": payload},
-                max_frame=self.max_frame,
-            )
-        except (OSError, WireProtocolError) as exc:
-            raise self._channel_failed(pending, exc) from exc
-        return pending
-
-    def receive(
-        self, pending: _Pending, *, raw: bool = False
-    ) -> dict[str, object] | bytes:
-        """Read the reply to one :meth:`send`; raises typed errors.
-
-        ``raw=True`` returns an ok reply's ``result`` as the worker's
-        JSON bytes, for a front end that only passes it on.  Any other
-        reply is decoded: typed error frames from the worker re-raise as
-        their registered classes, and a closed channel or an
-        out-of-sequence id is a transport fault.
-        """
-        try:
-            body = read_body(pending.channel, max_frame=self.max_frame)
-        except (OSError, WireProtocolError) as exc:
-            raise self._channel_failed(pending, exc) from exc
-        result = None if body is None else ok_result(body, pending.request_id)
-        if result is None:
-            try:
-                response = None if body is None else decode_body(body)
-            except WireProtocolError as exc:
-                raise self._channel_failed(pending, exc) from exc
-            if response is None or response.get("id") != pending.request_id:
-                raise self._channel_failed(
-                    pending, None,
-                    "closed its channel" if response is None
-                    else "answered out of sequence",
-                )
-        self._pool.put(pending.channel)
-        self.breaker.record_success()
-        if result is not None:
-            return result if raw else decode_body(result)
-        if response.get("ok"):
-            decoded = response.get("result")
-            decoded = decoded if isinstance(decoded, dict) else {}
-            return encode_body(decoded) if raw else decoded
-        error = response.get("error")
-        raise_wire_error(error if isinstance(error, dict) else {})
-        raise AssertionError("raise_wire_error always raises")  # pragma: no cover
-
-    def _channel_failed(
-        self, pending: _Pending, exc: Exception | None, detail: str = ""
-    ) -> ServiceTransportError:
-        """Trip the breaker, drop the channel, and build the error."""
-        self.breaker.record_failure()
-        self._discard(pending.channel)
-        what = (
-            f"channel to shard-group worker {self.index} failed during "
-            f"{pending.op!r}: {exc}"
-            if exc is not None
-            else f"shard-group worker {self.index} {detail} during {pending.op!r}"
-        )
-        return ServiceTransportError(what, retryable=pending.op not in MUTATING_OPS)
-
-    def _checkout_channel(self, timeout_s: float) -> socket.socket:
+    def _checkout(self, timeout_s: float | None) -> socket.socket:
         """Claim a free channel, failing *fast* once the process is gone.
 
         A SIGKILL'd worker EOFs the channels in flight, but requests
@@ -239,14 +125,13 @@ class WorkerHandle:
         slices and re-checking process liveness bounds that stall —
         and thereby the server's time-to-heal — to one slice.
         """
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + timeout_s  # type: ignore[operator]
         while True:
             if self.process.poll() is not None:
                 self.breaker.record_failure()
                 raise with_wire_code(
                     ServiceTransportError(
-                        f"shard-group worker {self.index} (shards "
-                        f"{list(self.owned_shards)}) exited with code "
+                        f"{self.peer} exited with code "
                         f"{self.process.returncode}; its shards are "
                         "unavailable until the supervisor respawns it",
                         retryable=True,
@@ -258,8 +143,7 @@ class WorkerHandle:
                 self.breaker.record_failure()
                 raise with_wire_code(
                     ServiceTransportError(
-                        f"no free channel to shard-group worker {self.index} "
-                        f"within {timeout_s:g}s",
+                        f"no free channel to {self.peer} within {timeout_s:g}s",
                         retryable=True,
                     ),
                     "unavailable",
@@ -269,13 +153,16 @@ class WorkerHandle:
             except queue.Empty:
                 continue
 
-    def _discard(self, channel: socket.socket) -> None:
+    def _checkin(self, sock: socket.socket) -> None:
+        self._pool.put(sock)
+
+    def _discard(self, sock: socket.socket) -> None:
         try:
-            channel.close()
+            sock.close()
         except OSError:
             pass
-        if channel in self._all_channels:
-            self._all_channels.remove(channel)
+        if sock in self._all_channels:
+            self._all_channels.remove(sock)
 
     def handshake(self, *, deadline_s: float | None = None) -> None:
         """Verify every channel answers ``hello`` (worker readiness).
@@ -292,20 +179,17 @@ class WorkerHandle:
                 remaining = deadline.remaining_s
                 if remaining <= 0:
                     raise WorkerStartupError(
-                        f"shard-group worker {self.index} (shards "
-                        f"{list(self.owned_shards)}) did not finish its startup "
-                        f"handshake within {deadline_s:g}s"
+                        f"{self.peer} did not finish its startup handshake "
+                        f"within {deadline_s:g}s"
                     )
-                timeout = min(self.request_timeout_s, remaining)
+                timeout = min(self.timeout_s, remaining)
             try:
                 self.call("hello", {}, timeout_s=timeout)
             except WorkerStartupError:
                 raise
             except (ServiceError, OSError) as exc:
                 raise WorkerStartupError(
-                    f"shard-group worker {self.index} (shards "
-                    f"{list(self.owned_shards)}) failed its startup handshake: "
-                    f"{exc}"
+                    f"{self.peer} failed its startup handshake: {exc}"
                 ) from exc
 
     @property
@@ -712,7 +596,7 @@ class WorkerSupervisor:
         if state != CircuitBreaker.HALF_OPEN:
             return  # OPEN inside its window: breaker says wait, so wait
         try:
-            worker.call("ping", {}, timeout_s=min(2.0, worker.request_timeout_s))
+            worker.call("ping", {}, timeout_s=min(2.0, worker.timeout_s))
         except Exception as exc:  # noqa: BLE001 - typed probe outcomes
             if getattr(exc, "wire_code", "") == "quarantine":
                 return  # a client claimed this window's probe; defer to it
@@ -806,7 +690,6 @@ class KnowledgeServer:
         shards: int | None = None,
         worker_processes: int = 2,
         channels_per_worker: int = 2,
-        max_frame: int = MAX_FRAME_BYTES,
         request_timeout_s: float = 30.0,
         metrics: "MetricsRegistry | None" = None,
         supervise: bool = True,
@@ -818,7 +701,6 @@ class KnowledgeServer:
     ) -> None:
         self.root = Path(root)
         self.metrics = metrics
-        self.max_frame = max_frame
         self.request_timeout_s = request_timeout_s
         self._startup_deadline_s = startup_deadline_s
         self._metrics_lock = threading.Lock()
@@ -899,7 +781,6 @@ class KnowledgeServer:
             "--store", str(self.root),
             "--shards", ",".join(str(i) for i in owned),
             "--fds", ",".join(str(fd) for fd in child_fds),
-            "--max-frame", str(self.max_frame),
         ]
         process = subprocess.Popen(argv, pass_fds=child_fds, env=env)
         parent_channels = []
@@ -912,8 +793,7 @@ class KnowledgeServer:
         )
         return WorkerHandle(
             worker_index, owned, process, parent_channels,
-            breaker=breaker, max_frame=self.max_frame,
-            request_timeout_s=self.request_timeout_s,
+            breaker=breaker, request_timeout_s=self.request_timeout_s,
         )
 
     def _respawn_worker(self, index: int) -> WorkerHandle:
@@ -1001,62 +881,23 @@ class KnowledgeServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.settimeout(self.request_timeout_s)
         try:
-            while True:
-                try:
-                    ready, _, _ = select.select([conn], [], [], 0.25)
-                except (OSError, ValueError):
-                    return
-                if not ready:
-                    if self._shutdown:
-                        return
-                    continue
-                received = [0]
-                try:
-                    request = read_frame(
-                        conn, max_frame=self.max_frame,
-                        on_bytes=lambda n: received.__setitem__(0, n),
-                    )
-                except TruncatedFrameError:
-                    return  # mid-frame disconnect: nothing to answer
-                except WireVersionError as exc:
-                    # Answer in *our* version — the one thing both ends
-                    # can parse — then hang up.
-                    self._send(conn, {"id": None, "ok": False,
-                                      "error": error_body(with_wire_code(exc, "version-mismatch"))})
-                    return
-                except WireProtocolError as exc:
-                    code = "frame-too-large" if "cap" in str(exc) else "bad-frame"
-                    self._send(conn, {"id": None, "ok": False,
-                                      "error": error_body(with_wire_code(exc, code))})
-                    return
-                except (OSError, ValueError):
-                    return
-                if request is None:
-                    return  # clean close at a frame boundary
-                self._count_frame("in", received[0])
-                if not self._send(conn, self._respond(request)):
-                    return
+            serve_frames(
+                conn, self._respond,
+                stop=lambda: self._shutdown, on_frame=self._count_frame,
+            )
         finally:
             self._track_connection(conn, opened=False)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
-    def _respond(self, request: dict[str, object]) -> dict[str, object] | bytes:
-        request_id = request.get("id")
-        op = str(request.get("op", ""))
-        args = request.get("args")
-        payload = args if isinstance(args, dict) else {}
+    def _respond(self, op: str, payload: dict[str, object]) -> dict[str, object] | bytes:
         start = time.perf_counter()
         try:
             if op == "hello":
-                result = self._hello(payload)
-            elif op == "health":
+                return self._hello(payload)
+            if op == "health":
                 # Health answers even while draining — that is exactly
                 # when an operator wants to see worker state.
-                result = {"health": self.health()}
-            elif self._draining:
+                return {"health": self.health()}
+            if self._draining:
                 raise with_wire_code(
                     ServiceTransportError(
                         "server is draining; finish against another endpoint "
@@ -1065,16 +906,10 @@ class KnowledgeServer:
                     ),
                     "draining",
                 )
-            else:
-                with self._inflight_guard():
-                    result = self.router.call(op, payload)
-        except Exception as exc:  # noqa: BLE001 - typed error frame, never die
+            with self._inflight_guard():
+                return self.router.call(op, payload)
+        finally:
             self._observe_op(op, time.perf_counter() - start)
-            return {"id": request_id, "ok": False, "error": error_body(exc)}
-        self._observe_op(op, time.perf_counter() - start)
-        if isinstance(result, bytes):  # relayed worker result
-            return ok_reply(request_id, result)
-        return {"id": request_id, "ok": True, "result": result}
 
     def _hello(self, payload: dict[str, object]) -> dict[str, object]:
         offered = payload.get("protocols")
@@ -1094,14 +929,6 @@ class KnowledgeServer:
             "worker_processes": len(self.workers),
             "draining": self._draining,
         }
-
-    def _send(self, conn: socket.socket, body: dict[str, object] | bytes) -> bool:
-        try:
-            sent = write_frame(conn, body, max_frame=self.max_frame)
-        except (OSError, WireProtocolError):
-            return False
-        self._count_frame("out", sent)
-        return True
 
     @contextmanager
     def _inflight_guard(self):

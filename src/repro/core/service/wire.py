@@ -17,7 +17,7 @@ followed by a JSON body::
   ``version-mismatch`` error frame (in *its* version) and closes.
 * ``body len`` is the byte length of the JSON body, capped at
   ``max_frame`` so a hostile or corrupt length prefix cannot make a
-  worker allocate unbounded memory.
+  worker allocate unbounded memory (:class:`FrameTooLargeError`).
 
 Request bodies are ``{"id", "op", "args"}``; responses are
 ``{"id", "ok": true, "result"}`` or ``{"id", "ok": false, "error":
@@ -32,14 +32,18 @@ reply (:func:`ok_reply`/:func:`ok_result`) and of a batch result split
 into per-object fragments (:func:`fragment_result`,
 :func:`split_fragments`, :func:`join_fragments`): the server's front
 end relays worker results as bytes through these helpers instead of
-decoding and encoding them again.
+decoding and encoding them again.  It also holds :func:`serve_frames`,
+the one read → respond → write loop that answers requests on both
+hops, front end and worker.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
+from typing import Callable
 
 from repro.util.errors import (
     ConfigurationError,
@@ -58,6 +62,7 @@ __all__ = [
     "MAGIC",
     "MAX_FRAME_BYTES",
     "HEADER",
+    "FrameTooLargeError",
     "TruncatedFrameError",
     "WireVersionError",
     "encode_body",
@@ -71,6 +76,7 @@ __all__ = [
     "fragment_result",
     "split_fragments",
     "join_fragments",
+    "serve_frames",
     "error_body",
     "error_code",
     "with_wire_code",
@@ -96,6 +102,10 @@ HEADER = struct.Struct("!4sBI")
 
 class TruncatedFrameError(WireProtocolError):
     """The peer closed the connection in the middle of a frame."""
+
+
+class FrameTooLargeError(WireProtocolError):
+    """A frame body over the frame cap, announced or about to be sent."""
 
 
 class WireVersionError(WireProtocolError):
@@ -224,7 +234,7 @@ def encode_frame(
     """
     payload = body if isinstance(body, bytes) else encode_body(body)
     if len(payload) > max_frame:
-        raise WireProtocolError(
+        raise FrameTooLargeError(
             f"frame body of {len(payload)} bytes exceeds the "
             f"{max_frame}-byte frame cap; split the request "
             "(e.g. batch fewer objects per save_many/fetch_many)"
@@ -286,7 +296,7 @@ def read_body(
             version=version,
         )
     if length > max_frame:
-        raise WireProtocolError(
+        raise FrameTooLargeError(
             f"frame announces a {length}-byte body, over the "
             f"{max_frame}-byte cap; refusing to allocate"
         )
@@ -401,3 +411,92 @@ def join_fragments(fragments: list[bytes]) -> bytes:
     Byte-identical to :func:`encode_body` of the decoded objects.
     """
     return _OBJECTS_HEAD + b",".join(fragments) + _OBJECTS_TAIL
+
+
+# ----------------------------------------------------------------------
+# the serving loop of both hops: front end and shard-group worker
+# ----------------------------------------------------------------------
+def serve_frames(
+    sock: socket.socket,
+    respond: Callable[[str, dict[str, object]], dict[str, object] | bytes],
+    *,
+    stop: Callable[[], bool],
+    on_frame: Callable[[str, int], None] = lambda direction, nbytes: None,
+) -> None:
+    """Answer request frames on one connection, then close it.
+
+    ``respond(op, args)`` returns the result payload, or its encoded
+    JSON bytes to relay as they are; whatever it raises is answered as
+    a typed error frame and the connection keeps serving.  A framing
+    fault is answered once, under the code its type names
+    (``version-mismatch``, ``frame-too-large``, else ``bad-frame``), and
+    ends the connection: after a bad frame the stream offset is
+    unknowable.  A clean close, a mid-frame disconnect, a failed write,
+    or ``stop()`` holding while the connection idles (polled every
+    0.25 s) also ends it.  ``on_frame(direction, nbytes)`` sees every
+    frame read and written.
+    """
+    try:
+        while True:
+            try:
+                ready, _, _ = select.select([sock], [], [], 0.25)
+            except (OSError, ValueError):
+                return
+            if not ready:
+                if stop():
+                    return
+                continue
+            received = [0]
+            try:
+                request = read_frame(sock, on_bytes=lambda n: received.__setitem__(0, n))
+            except TruncatedFrameError:
+                return  # mid-frame disconnect: nothing to answer
+            except WireProtocolError as exc:
+                # Answered in *our* version: the one thing both ends parse.
+                code = (
+                    "version-mismatch" if isinstance(exc, WireVersionError)
+                    else "frame-too-large" if isinstance(exc, FrameTooLargeError)
+                    else "bad-frame"
+                )
+                error = error_body(with_wire_code(exc, code))
+                _send_reply(sock, {"id": None, "ok": False, "error": error}, on_frame)
+                return
+            except (OSError, ValueError):
+                return
+            if request is None:
+                return  # clean close at a frame boundary
+            on_frame("in", received[0])
+            if not _send_reply(sock, _answer(request, respond), on_frame):
+                return
+    finally:
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
+def _answer(
+    request: dict[str, object],
+    respond: Callable[[str, dict[str, object]], dict[str, object] | bytes],
+) -> dict[str, object] | bytes:
+    request_id = request.get("id")
+    args = request.get("args")
+    try:
+        result = respond(str(request.get("op", "")), args if isinstance(args, dict) else {})
+        encoded = result if isinstance(result, bytes) else encode_body(result)
+    except Exception as exc:  # noqa: BLE001 - typed error frame, never die
+        return {"id": request_id, "ok": False, "error": error_body(exc)}
+    return ok_reply(request_id, encoded)
+
+
+def _send_reply(
+    sock: socket.socket,
+    reply: dict[str, object] | bytes,
+    on_frame: Callable[[str, int], None],
+) -> bool:
+    try:
+        sent = write_frame(sock, reply)
+    except (OSError, WireProtocolError):
+        return False
+    on_frame("out", sent)
+    return True

@@ -11,14 +11,17 @@ no longer contend on one GIL.
 The parent hands the worker one or more ``socketpair`` channel file
 descriptors on the command line (``--fds``); each channel speaks the
 same ``repro.wire/v1`` frames as the public TCP port, one in-flight
-request per channel.  The channel thread that reads a request runs it
-(``KnowledgeService.execute``), and the service's in-flight cap is the
-channel count, so the front end's channel pool is the admission
-control.  The worker answers *every* failure — malformed payload,
-unknown op, wedged shard — with a typed error frame and keeps serving
-the channel; nothing a peer sends can kill the process.  EOF on all
-channels (the parent closed them: graceful drain) flushes the shards
-and exits 0.
+request per channel, and is answered by the same serving loop as the
+port (:func:`~repro.core.service.wire.serve_frames`), so a framing
+fault gets the same code on both hops (``version-mismatch``,
+``frame-too-large`` or ``bad-frame``, then a close).  The channel
+thread that reads a request runs it (``KnowledgeService.execute``),
+and the service's in-flight cap is the channel count, so the front
+end's channel pool is the admission control.  The worker answers
+*every* other failure — malformed payload, unknown op, wedged shard —
+with a typed error frame and keeps serving the channel; nothing a peer
+sends can kill the process.  EOF on all channels (the parent closed
+them: graceful drain) flushes the shards and exits 0.
 """
 
 from __future__ import annotations
@@ -34,18 +37,7 @@ from repro.core.metrics import MetricsRegistry
 from repro.core.service.ops import ServiceDispatcher
 from repro.core.service.service import KnowledgeService
 from repro.core.service.shard import KnowledgeShardMap
-from repro.core.service.wire import (
-    MAX_FRAME_BYTES,
-    PROTOCOL,
-    TruncatedFrameError,
-    WireProtocolError,
-    encode_body,
-    error_body,
-    fragment_result,
-    ok_reply,
-    read_frame,
-    write_frame,
-)
+from repro.core.service.wire import PROTOCOL, fragment_result, serve_frames
 
 __all__ = ["serve_channel", "main"]
 
@@ -62,60 +54,27 @@ def _hello_result(service: KnowledgeService) -> dict[str, object]:
     }
 
 
-def serve_channel(
-    sock: socket.socket,
-    dispatcher: ServiceDispatcher,
-    *,
-    max_frame: int = MAX_FRAME_BYTES,
-) -> None:
+def serve_channel(sock: socket.socket, dispatcher: ServiceDispatcher) -> None:
     """Answer ``repro.wire/v1`` requests on one channel until EOF.
 
-    Every per-request failure becomes a typed error frame; only a dead
+    The front end's serving loop (:func:`~repro.core.service.wire.
+    serve_frames`) with the worker's own respond function: every
+    per-request failure becomes a typed error frame, and only a closed
     or protocol-violating channel ends the loop (and then only this
     channel — the worker process itself keeps serving its siblings).
     """
-    while True:
-        try:
-            request = read_frame(sock, max_frame=max_frame)
-        except TruncatedFrameError:
-            return  # peer died mid-frame; nothing sane to answer
-        except WireProtocolError as exc:
-            # Corrupt framing: after this frame the stream offset is
-            # unknowable, so answer once (best effort) and hang up.
-            try:
-                write_frame(sock, {"id": None, "ok": False, "error": error_body(exc)})
-            except OSError:
-                pass
-            return
-        except OSError:
-            return
-        if request is None:
-            return  # clean EOF: the parent is draining us
-        request_id = request.get("id")
-        op = str(request.get("op", ""))
-        args = request.get("args")
-        try:
-            if op == "hello":
-                result: dict[str, object] = _hello_result(dispatcher.service)
-            else:
-                payload = args if isinstance(args, dict) else {}
-                result = dispatcher.call(op, payload)
-            # fetch_many answers in the fragment layout, so the front end
-            # can reorder the objects without decoding them.
-            encoded = (
-                fragment_result(result["objects"])  # type: ignore[arg-type]
-                if op == "fetch_many" else encode_body(result)
-            )
-        except Exception as exc:  # noqa: BLE001 - typed error frame, never die
-            response: dict[str, object] | bytes = {
-                "id": request_id, "ok": False, "error": error_body(exc),
-            }
-        else:
-            response = ok_reply(request_id, encoded)
-        try:
-            write_frame(sock, response, max_frame=max_frame)
-        except (OSError, WireProtocolError):
-            return
+
+    def respond(op: str, args: dict[str, object]) -> dict[str, object] | bytes:
+        if op == "hello":
+            return _hello_result(dispatcher.service)
+        result = dispatcher.call(op, args)
+        if op == "fetch_many":
+            # The fragment layout lets the front end reorder the objects
+            # without decoding them.
+            return fragment_result(result["objects"])  # type: ignore[arg-type]
+        return result
+
+    serve_frames(sock, respond, stop=lambda: False)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,9 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fds", required=True,
         help="comma-separated channel socket file descriptors",
-    )
-    parser.add_argument(
-        "--max-frame", type=int, default=MAX_FRAME_BYTES, help="frame body cap (bytes)"
     )
     options = parser.parse_args(argv)
 
@@ -158,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         threading.Thread(
             target=serve_channel,
             args=(channel, dispatcher),
-            kwargs={"max_frame": options.max_frame},
             name=f"worker-channel-{fd}",
         )
         for fd, channel in zip(fds, channels)

@@ -10,6 +10,7 @@ worker, and the very next well-formed request succeeds.
 import json
 import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import given
@@ -17,12 +18,18 @@ from hypothesis import strategies as st
 
 from repro.core.metrics import MetricsRegistry
 from repro.core.service.client import ServiceClient
-from repro.core.service.ops import encode_args
+from repro.core.service.ops import ServiceDispatcher, encode_args
 from repro.core.service.server import KnowledgeServer
-from repro.core.service.shard import decode_knowledge_id, encode_knowledge_id
+from repro.core.service.service import KnowledgeService
+from repro.core.service.shard import (
+    KnowledgeShardMap,
+    decode_knowledge_id,
+    encode_knowledge_id,
+)
 from repro.core.service.wire import (
     HEADER,
     MAGIC,
+    MAX_FRAME_BYTES,
     PROTOCOL,
     WIRE_VERSION,
     TruncatedFrameError,
@@ -42,6 +49,7 @@ from repro.core.service.wire import (
     split_fragments,
     write_frame,
 )
+from repro.core.service.worker import serve_channel
 from repro.util.errors import (
     DeadlineError,
     PersistenceError,
@@ -303,7 +311,7 @@ class TestMalformedInputHardening:
 
     def test_oversized_frame_gets_typed_error_then_close(self, server):
         with _connect(server) as sock:
-            sock.sendall(HEADER.pack(MAGIC, WIRE_VERSION, server.max_frame + 1))
+            sock.sendall(HEADER.pack(MAGIC, WIRE_VERSION, MAX_FRAME_BYTES + 1))
             response = read_frame(sock)
             assert response["ok"] is False
             assert response["error"]["code"] == "frame-too-large"
@@ -316,6 +324,18 @@ class TestMalformedInputHardening:
             response = read_frame(sock)
             assert response["ok"] is False
             assert response["error"]["code"] == "version-mismatch"
+            _expect_close(sock)
+        _assert_server_healthy(server)
+
+    def test_invalid_json_escape_gets_bad_frame(self, server):
+        """A body whose JSON error message happens to contain "cap"
+        (``Invalid \\escape``) is a bad frame, not an over-cap one."""
+        body = rb'{"id":1,"op":"ping","args":{"a":"\q"}}'
+        with _connect(server) as sock:
+            sock.sendall(HEADER.pack(MAGIC, WIRE_VERSION, len(body)) + body)
+            response = read_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad-frame"
             _expect_close(sock)
         _assert_server_healthy(server)
 
@@ -385,6 +405,48 @@ class TestMalformedInputHardening:
                 except (WireProtocolError, OSError):
                     pass
         _assert_server_healthy(server)
+
+
+@pytest.fixture()
+def worker_channel(tmp_path):
+    """The front end's end of one channel served by a worker's loop."""
+    service = KnowledgeService(KnowledgeShardMap(tmp_path / "store", 2), queue_size=1)
+    parent, child = socket.socketpair()
+    parent.settimeout(10.0)
+    thread = threading.Thread(
+        target=serve_channel, args=(child, ServiceDispatcher(service)), daemon=True
+    )
+    thread.start()
+    yield parent
+    parent.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    service.close()
+
+
+class TestWorkerChannelHardening:
+    """The worker hop answers framing faults like the front end does."""
+
+    @pytest.mark.parametrize("frame, code", [
+        (HEADER.pack(MAGIC, 42, 2) + b"{}", "version-mismatch"),
+        (HEADER.pack(MAGIC, WIRE_VERSION, MAX_FRAME_BYTES + 1), "frame-too-large"),
+        (b"GET / HTTP/1.1\r\n\r\n" + b"\x00" * 16, "bad-frame"),
+    ], ids=["wrong-version", "over-cap", "garbage"])
+    def test_framing_fault_gets_typed_error_then_close(self, worker_channel, frame, code):
+        worker_channel.sendall(frame)
+        response = read_frame(worker_channel)
+        assert response["ok"] is False
+        assert response["error"]["code"] == code
+        _expect_close(worker_channel)
+
+    def test_unknown_op_is_typed_and_keeps_channel(self, worker_channel):
+        response = _roundtrip(worker_channel, {"id": 1, "op": "explode", "args": {}})
+        assert response["ok"] is False
+        assert response["error"]["code"] == "service"
+        assert "unknown service operation" in response["error"]["message"]
+        assert _roundtrip(worker_channel, {"id": 2, "op": "ping", "args": {}}) == {
+            "id": 2, "ok": True, "result": {},
+        }
 
 
 class TestRelayedClientFrames:
