@@ -20,7 +20,7 @@ from repro.benchmarks_io.io500.scoring import (
     compute_score,
 )
 from repro.benchmarks_io.ior.config import IORConfig
-from repro.benchmarks_io.ior.runner import run_ior_in_job
+from repro.benchmarks_io.ior.runner import run_ior_in_job, unlink_test_files
 from repro.benchmarks_io.mdtest import MdtestConfig, run_mdtest_phase
 from repro.iostack.stack import IOJobContext, Testbed
 from repro.util.errors import BenchmarkError
@@ -173,17 +173,11 @@ def _find_phase(ctx: IOJobContext, config: IO500Config, run_id: int) -> IO500Pha
 
 
 def _cleanup_ior_files(ctx: IOJobContext, configs: Sequence[IORConfig]) -> None:
-    fs = ctx.fs
     wctx = ctx.phase_ctx("write", tags={"suite": "io500", "phase": "cleanup"})
     for cfg in configs:
-        paths = (
-            [cfg.file_for_rank(r) for r in ctx.comm.ranks()]
-            if cfg.file_per_proc
-            else [cfg.test_file]
-        )
-        for path in paths:
-            if fs.namespace.exists(path):
-                ctx.comm.advance(0, fs.unlink(path, wctx))
+        ranks, dt = unlink_test_files(ctx, cfg, wctx)
+        for _ in ranks:
+            ctx.comm.advance(0, dt)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

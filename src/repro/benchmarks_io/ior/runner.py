@@ -17,6 +17,7 @@ import numpy as np
 from repro.benchmarks_io.ior.config import IORConfig
 from repro.iostack.stack import IOJobContext, Testbed
 from repro.iostack.tracing import Tracer
+from repro.pfs.perfmodel import PhaseContext
 from repro.util.errors import BenchmarkError, FileNotFoundInPFSError
 from repro.util.stats import Summary, summarize
 from repro.util.units import MIB
@@ -239,16 +240,23 @@ def run_ior_in_job(
 
 def _remove_test_files(ctx: IOJobContext, config: IORConfig) -> None:
     wctx = ctx.phase_ctx("write", tags={"benchmark": "ior", "op": "cleanup"})
+    ranks, dt = unlink_test_files(ctx, config, wctx)
+    for rank in ranks:
+        ctx.comm.advance(rank, dt)
+
+
+def unlink_test_files(ctx: IOJobContext, config: IORConfig, wctx: PhaseContext
+                      ) -> tuple[list[int], float]:
+    """Unlink whichever ranks' test files exist (rank 0's if shared) in one
+    batched unlink; returns those ranks and one removal's cost."""
     fs = ctx.fs
-    if config.shared_file:
-        if fs.namespace.exists(config.test_file):
-            dt = fs.unlink(config.test_file, wctx)
-            ctx.comm.advance(0, dt)
-    else:
-        for rank in ctx.comm.ranks():
-            path = config.file_for_rank(rank)
-            if fs.namespace.exists(path):
-                ctx.comm.advance(rank, fs.unlink(path, wctx))
+    dir_path = posixpath.dirname(config.test_file)
+    directory = fs.namespace.lookup_dir(dir_path)
+    names = {rank: posixpath.basename(config.file_for_rank(rank))
+             for rank in (ctx.comm.ranks() if config.file_per_proc else [0])}
+    ranks = [rank for rank, name in names.items() if name in directory.children]
+    fs.namespace.remove_children(directory, [names[rank] for rank in ranks], dir_path=dir_path)
+    return ranks, fs.model.metadata_time_s("remove", wctx)
 
 
 def run_ior(

@@ -208,10 +208,9 @@ def open_service(
 
 
 def _default_retryable(exc: BaseException) -> bool:
-    """Overload sheds always; transport faults when marked transient."""
-    if isinstance(exc, ServiceOverloadError):
-        return True
-    return isinstance(exc, ServiceTransportError) and bool(
+    """Overload sheds and transport faults, when marked transient (a
+    front end clears the mark once part of a batch has been saved)."""
+    return isinstance(exc, (ServiceOverloadError, ServiceTransportError)) and bool(
         getattr(exc, "transient", False)
     )
 

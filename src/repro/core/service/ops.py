@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.persistence.scan import ScanQuery
 from repro.core.persistence.transfer import knowledge_from_dict, knowledge_to_dict
-from repro.core.service.wire import PROTOCOL, WireProtocolError
+from repro.core.service.wire import PROTOCOL, WireProtocolError, with_wire_code
 from repro.util.errors import PersistenceError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = [
     "SERVICE_OPS",
     "MUTATING_OPS",
+    "check_op",
     "encode_args",
     "decode_args",
     "encode_result",
@@ -75,10 +76,12 @@ def _unpack_knowledge(obj: dict[str, object]) -> "Knowledge":
     return knowledge
 
 
-def _check_op(op: str) -> None:
+def check_op(op: str) -> None:
+    """Raise the ``unknown-op`` error both hops answer for an unknown op."""
     if op not in SERVICE_OPS:
-        raise ServiceError(
-            f"unknown service operation {op!r}; known: {sorted(SERVICE_OPS)}"
+        raise with_wire_code(
+            ServiceError(f"unknown service operation {op!r}; known: {sorted(SERVICE_OPS)}"),
+            "unknown-op",
         )
 
 
@@ -87,7 +90,7 @@ def _check_op(op: str) -> None:
 # ----------------------------------------------------------------------
 def encode_args(op: str, args: Sequence[object]) -> dict[str, object]:
     """Encode one operation's positional arguments as a JSON-safe dict."""
-    _check_op(op)
+    check_op(op)
     if op == "save":
         return {"knowledge": _pack_knowledge(args[0])}  # type: ignore[arg-type]
     if op == "save_many":
@@ -108,7 +111,7 @@ def encode_args(op: str, args: Sequence[object]) -> dict[str, object]:
 
 def decode_args(op: str, payload: dict[str, object]) -> tuple:
     """Decode an argument payload back into ``execute``-shaped positionals."""
-    _check_op(op)
+    check_op(op)
     if op == "save":
         return (_unpack_knowledge(payload["knowledge"]),)  # type: ignore[arg-type]
     if op == "save_many":
@@ -132,7 +135,7 @@ def decode_args(op: str, payload: dict[str, object]) -> tuple:
 # ----------------------------------------------------------------------
 def encode_result(op: str, result: object) -> dict[str, object]:
     """Encode one operation's return value as a JSON-safe dict."""
-    _check_op(op)
+    check_op(op)
     if op == "save":
         return {"id": int(result)}  # type: ignore[arg-type]
     if op in ("save_many", "list_ids", "find_by_parameter"):
@@ -158,7 +161,7 @@ def encode_result(op: str, result: object) -> dict[str, object]:
 
 def decode_result(op: str, payload: dict[str, object]) -> object:
     """Decode a result payload back into the blocking-API return value."""
-    _check_op(op)
+    check_op(op)
     if op == "save":
         return int(payload["id"])  # type: ignore[arg-type]
     if op in ("save_many", "list_ids", "find_by_parameter"):

@@ -54,7 +54,7 @@ import repro
 from repro.core.persistence.scan import merge_partial_payloads
 from repro.core.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.core.supervise import SupervisedSlot
-from repro.core.service.ops import SERVICE_OPS
+from repro.core.service.ops import check_op
 from repro.core.service.shard import (
     KnowledgeShardMap,
     decode_knowledge_id,
@@ -349,13 +349,7 @@ class ShardRouter:
             return {}
         if op == "stats":
             return {"stats": self._merged_stats()}
-        if op not in SERVICE_OPS:
-            raise with_wire_code(
-                ServiceError(
-                    f"unknown service operation {op!r}; known: {sorted(SERVICE_OPS)}"
-                ),
-                "unknown-op",
-            )
+        check_op(op)
         if op == "save":
             owner = self._worker_of_shard(self._placement(payload["knowledge"]))  # type: ignore[arg-type]
             return owner.receive(owner.send("save", payload), raw=True)
@@ -438,8 +432,15 @@ class ShardRouter:
         )
         workers = self._snapshot()
         ids: list[int] = [0] * len(objects)  # type: ignore[arg-type]
-        for index, group in groups.items():
-            result = workers[index].call("save_many", {"objects": [o for _, o in group]})
+        for n, (index, group) in enumerate(groups.items()):
+            try:
+                result = workers[index].call("save_many", {"objects": [o for _, o in group]})
+            except Exception as exc:
+                # The groups before this one are committed: a client
+                # that retried the batch would save their rows twice.
+                if n:
+                    exc.transient = False  # type: ignore[attr-defined]
+                raise
             for (position, _), global_id in zip(group, result["ids"]):  # type: ignore[arg-type]
                 ids[position] = int(global_id)
         return {"ids": ids}

@@ -66,10 +66,11 @@ class MetadataServer:
         self._entry_counter = itertools.count(1)
         self.health = 1.0
 
-    def next_entry_id(self) -> str:
-        """Allocate an EntryID shaped like BeeGFS ones (``N-HEX-M``)."""
-        n = next(self._entry_counter)
-        return f"{n % 16:X}-{0x63A2B400 + n:08X}-{self.node_id}"
+    def next_entry_ids(self, count: int) -> list[str]:
+        """Allocate ``count`` consecutive EntryIDs shaped like BeeGFS ones (``N-HEX-M``)."""
+        node = self.node_id
+        return [f"{n % 16:X}-{0x63A2B400 + n:08X}-{node}"
+                for n in itertools.islice(self._entry_counter, count)]
 
     def op_cost_s(self, op: str, active_procs: int, shared_dir: bool = False) -> float:
         """Wall time one client spends on ``op`` under the given load.

@@ -30,7 +30,7 @@ from repro.core.resilience import RetryPolicy
 from repro.core.service.client import ServiceClient, parse_tcp_url
 from repro.core.service.server import KnowledgeServer
 from repro.core.service.service import KnowledgeService
-from repro.core.service.shard import KnowledgeShardMap, decode_knowledge_id
+from repro.core.service.shard import KnowledgeShardMap, decode_knowledge_id, shard_index_for_key
 from repro.core.service.wire import PROTOCOL, error_code
 from repro.util.errors import (
     PersistenceError,
@@ -544,6 +544,33 @@ class TestScatterGather:
                 fetched = client.fetch_many(survivor_ids)
                 assert [k.knowledge_id for k in fetched] == survivor_ids
                 assert time.monotonic() - start < 1.0
+        finally:
+            server.close()
+
+    def test_save_many_partial_failure_is_not_replayed(self, tmp_path):
+        """Once worker 0's group of a ``save_many`` is committed, worker
+        1's failure reaches the client as non-retryable, so a retrying
+        client does not save worker 0's rows a second time."""
+        server = KnowledgeServer(
+            tmp_path / "store", shards=2, worker_processes=2,
+            request_timeout_s=15.0, supervise=False,
+        )
+        server.start()
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.001)
+        try:
+            objs = [make_knowledge(m, host=f"n{m}") for m in range(8)]
+            first = shard_index_for_key(f"ior/{objs[0].system['hostname']}", 2)
+            group = [k for k in objs if shard_index_for_key(f"ior/{k.system['hostname']}", 2) == 0]
+            # Worker 0's group goes out first, and both groups are non-empty.
+            assert first == 0 and 0 < len(group) < len(objs)
+            victim = server.workers[1].process
+            victim.kill()
+            victim.wait()
+            with ServiceClient.open(_url(server), retry_policy=policy) as client:
+                with pytest.raises(ServiceTransportError) as excinfo:
+                    client.save_many(objs)
+            assert server.workers[0].call("count", {"benchmark": None}) == {"count": len(group)}
+            assert not excinfo.value.transient
         finally:
             server.close()
 

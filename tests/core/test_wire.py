@@ -442,7 +442,7 @@ class TestWorkerChannelHardening:
     def test_unknown_op_is_typed_and_keeps_channel(self, worker_channel):
         response = _roundtrip(worker_channel, {"id": 1, "op": "explode", "args": {}})
         assert response["ok"] is False
-        assert response["error"]["code"] == "service"
+        assert response["error"]["code"] == "unknown-op"
         assert "unknown service operation" in response["error"]["message"]
         assert _roundtrip(worker_channel, {"id": 2, "op": "ping", "args": {}}) == {
             "id": 2, "ok": True, "result": {},

@@ -226,7 +226,8 @@ class TestNamespaceProperties:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["create", "extend", "remove"]),
+                st.sampled_from(["create", "extend", "remove", "create_many", "remove_many",
+                                 "replace", "extend_unlinked"]),
                 st.sampled_from(["/scratch/a", "/scratch/b", "/scratch/d/c", "/scratch/d/e"]),
                 st.integers(min_value=0, max_value=1 << 20),
             ),
@@ -236,17 +237,32 @@ class TestNamespaceProperties:
     def test_df_used_bytes_equals_walk_sum(self, ops):
         fs = BeeGFS()
         fs.makedirs("/scratch/d")
+        unlinked = []
         for op, path, size in ops:
             present = fs.namespace.exists(path)
+            parent, name = split_path(path)
+            directory = fs.namespace.lookup_dir(parent)
+            siblings = [n for n in ("c", "e", "x") if n not in directory.children]
             if op == "create" and not present:
                 fs.create(path)
             elif op == "extend" and present:
                 fs.namespace.lookup_file(path).extend_to(size)
             elif op == "remove" and present:
-                fs.unlink(path)
+                unlinked.append(fs.namespace.remove_file(path))
+            elif op == "create_many" and siblings:
+                fs.create_files(directory, siblings, size=size)
+            elif op == "remove_many":
+                files = sorted(n for n, e in directory.children.items() if isinstance(e, FileEntry))
+                unlinked += fs.namespace.remove_children(directory, files)
+            elif op == "replace" and present:
+                unlinked.append(fs.namespace.lookup_file(path))
+                replacement = make_file()
+                replacement.extend_to(size)
+                fs.namespace.add(path, replacement, exist_ok=True)
+            elif op == "extend_unlinked" and unlinked:
+                unlinked[size % len(unlinked)].extend_to(size)
         walked = sum(e.size for _, e in fs.namespace.walk_files("/"))
         assert fs.df()["used_bytes"] == walked
-
 
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
     def test_add_then_listdir_round_trip(self, names):
